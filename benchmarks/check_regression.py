@@ -13,23 +13,21 @@ dispatched on the baseline's ``benchmark`` field:
   machine*.  That ratio is stable across hosts; a collapse means a hot-path
   regression, not a slow runner.  Raw throughputs are printed for context
   and only warn.
-* ``prewarm`` — per-policy SLO-violation rates of the autoscaling replay
-  (``BENCH_prewarm.json``).  These are *simulated* metrics — deterministic
-  for a given seed and trace — so the gate fails when any policy's
-  violation rate grows more than the relative tolerance (plus a small
-  absolute epsilon for near-zero rates) over the committed baseline, or
-  when the predictive policy stops beating the reactive baseline.
 * ``scenario`` — a ScenarioReport (``python -m repro scenario ... --output``).
   Also deterministic: the gate fails when the overall or any per-function
   SLO-violation rate grows past the tolerance (plus the same absolute
   epsilon), or when the completed-request count drops by more than the
   tolerance.  Baseline and fresh must replay the same scenario name/seed.
-* ``sweep`` — a SweepReport (``python -m repro sweep ... --output``).  Cells
-  are matched on their grid coordinates; the gate fails when any matched
-  cell's SLO-violation rate grows past the tolerance (plus the epsilon) or
-  its completed-request count drops by more than the tolerance.  Baseline
-  and fresh must run the same sweep name/base seed, and every baseline cell
-  must still exist in the fresh grid.
+* ``sweep`` — a SweepReport (``python -m repro sweep SPEC.json --output``),
+  which is also what every policy bench writes (``examples/sweeps/*.json``;
+  the benches' own headlines are the specs' ``assert`` entries, which
+  ``repro sweep`` enforces).  Cells are matched on their grid coordinates;
+  the gate fails when any matched cell's SLO-violation or effective-violation
+  rate grows past the tolerance (plus the epsilon), its mean GPU count grows
+  past the tolerance, or its completed-request count drops by more than the
+  tolerance.  Baseline and fresh must run the same base scenario and axes at
+  the same quick/full horizon, and every baseline cell must still exist in
+  the fresh grid.
 * ``serve`` — the live serving smoke (``BENCH_serve_quick.json`` vs a fresh
   ``repro replay`` output).  A live run is wall-clock paced, so unlike every
   other kind it is *not* bit-deterministic: the gate checks robust counters
@@ -39,28 +37,13 @@ dispatched on the baseline's ``benchmark`` field:
   absolute bound documented in the baseline (the DES ratio plus a generous
   live-jitter margin).  The fresh report must be a ScenarioReport with
   ``mode: "live"``.
-* ``swap`` — the memory-tier keep-alive comparison (``BENCH_swap.json``).
-  Deterministic replays again: the gate fails when any policy's violation
-  rate grows past the tolerance (plus the epsilon), when the ``memtier``
-  policy's GPU-seconds saving over either baseline shrinks by more than the
-  tolerance, or when the headline stops holding — memtier must stay
-  strictly cheaper in GPU-seconds than both scale-to-zero and WARM_IDLE-only
-  at an equal-or-better violation rate.
-* ``migrate`` — the defragmentation comparison (``BENCH_migrate.json``).
-  Deterministic replays: the gate fails when either cell's violation rate
-  grows past the tolerance (plus the epsilon), when the defrag-on cell's
-  mean-GPU count grows past the tolerance over its baseline, when the
-  mean-GPU saving shrinks by more than the tolerance, or when the headline
-  stops holding — defrag-on must keep strictly improving the fragmented
-  fleet (fewer mean GPUs at equal-or-better effective violations, or
-  strictly fewer violations at equal-or-fewer GPUs).
 
 Usage::
 
     python benchmarks/check_regression.py \
         --baseline BENCH_engine.json --fresh BENCH_fresh.json [--tolerance 0.30]
     python benchmarks/check_regression.py \
-        --baseline benchmarks/BENCH_prewarm_quick.json --fresh BENCH_prewarm_fresh.json
+        --baseline benchmarks/BENCH_swap_quick.json --fresh SWEEP_swap_quick.json
     python benchmarks/check_regression.py \
         --baseline benchmarks/BENCH_scenario_quick.json --fresh SCENARIO_fresh.json
 """
@@ -71,14 +54,13 @@ import argparse
 import json
 import sys
 
-#: Absolute slack added to the prewarm violation-rate gate so near-zero
+#: Absolute slack added to every violation-rate gate so near-zero
 #: baselines (0.1% violations) don't fail on one extra late request.
-PREWARM_ABS_EPSILON = 0.005
+ABS_EPSILON = 0.005
 
 
 def load_report(
-    path: str,
-    kinds: tuple[str, ...] = ("engine", "prewarm", "scenario", "sweep", "swap", "serve", "migrate"),
+    path: str, kinds: tuple[str, ...] = ("engine", "scenario", "sweep", "serve")
 ) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
@@ -94,41 +76,26 @@ def relative_drop(baseline: float, fresh: float) -> float:
     return (baseline - fresh) / baseline
 
 
-def check_prewarm(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
-    """Prewarm-report gate: per-policy SLO-violation-rate regressions."""
-    failures: list[str] = []
-    if baseline.get("trace") != fresh.get("trace") or baseline.get("nodes") != fresh.get("nodes"):
-        raise ValueError(
-            "trace/node mismatch: the prewarm gate compares deterministic replays — "
-            f"baseline trace {baseline.get('trace')} nodes {baseline.get('nodes')} vs "
-            f"fresh trace {fresh.get('trace')} nodes {fresh.get('nodes')}"
+def gate_rate(
+    failures: list[str],
+    label: str,
+    base_rate: float,
+    fresh_rate: float,
+    tolerance: float,
+    what: str = "slo_violation_ratio",
+) -> None:
+    """Fail when a violation rate grows past ``base * (1 + tolerance) + ABS_EPSILON``."""
+    bound = base_rate * (1.0 + tolerance) + ABS_EPSILON
+    marker = "  [REGRESSION]" if fresh_rate > bound else ""
+    print(
+        f"{what}[{label:<38}]: baseline {100 * base_rate:6.2f}%   "
+        f"fresh {100 * fresh_rate:6.2f}%   bound {100 * bound:6.2f}%{marker}"
+    )
+    if fresh_rate > bound:
+        failures.append(
+            f"{label}: {what} regressed {100 * base_rate:.2f}% -> "
+            f"{100 * fresh_rate:.2f}% (bound {100 * bound:.2f}%)"
         )
-    shared = sorted(set(baseline["policies"]) & set(fresh["policies"]))
-    if not shared:
-        raise ValueError("no common policies between baseline and fresh prewarm reports")
-    for policy in shared:
-        base_rate = float(baseline["policies"][policy]["slo_violation_ratio"])
-        fresh_rate = float(fresh["policies"][policy]["slo_violation_ratio"])
-        bound = base_rate * (1.0 + tolerance) + PREWARM_ABS_EPSILON
-        marker = "  [REGRESSION]" if fresh_rate > bound else ""
-        print(
-            f"slo_violation_ratio[{policy:<10}]: baseline {100 * base_rate:6.2f}%   "
-            f"fresh {100 * fresh_rate:6.2f}%   bound {100 * bound:6.2f}%{marker}"
-        )
-        if fresh_rate > bound:
-            failures.append(
-                f"{policy}: SLO-violation rate regressed {100 * base_rate:.2f}% -> "
-                f"{100 * fresh_rate:.2f}% (bound {100 * bound:.2f}%)"
-            )
-    if {"reactive", "predictive"} <= set(fresh["policies"]):
-        reactive = float(fresh["policies"]["reactive"]["slo_violation_ratio"])
-        predictive = float(fresh["policies"]["predictive"]["slo_violation_ratio"])
-        if predictive > reactive + PREWARM_ABS_EPSILON:
-            failures.append(
-                f"predictive policy no longer beats reactive: "
-                f"{100 * predictive:.2f}% vs {100 * reactive:.2f}% violations"
-            )
-    return failures
 
 
 def check_scenario(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
@@ -146,32 +113,23 @@ def check_scenario(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
             f"baseline {base_id} vs fresh {fresh_id}"
         )
 
-    def gate(label: str, base_rate: float, fresh_rate: float) -> None:
-        bound = base_rate * (1.0 + tolerance) + PREWARM_ABS_EPSILON
-        marker = "  [REGRESSION]" if fresh_rate > bound else ""
-        print(
-            f"slo_violation_ratio[{label:<18}]: baseline {100 * base_rate:6.2f}%   "
-            f"fresh {100 * fresh_rate:6.2f}%   bound {100 * bound:6.2f}%{marker}"
-        )
-        if fresh_rate > bound:
-            failures.append(
-                f"{label}: SLO-violation rate regressed {100 * base_rate:.2f}% -> "
-                f"{100 * fresh_rate:.2f}% (bound {100 * bound:.2f}%)"
-            )
-
-    gate(
+    gate_rate(
+        failures,
         "overall",
         float(baseline["totals"]["slo_violation_ratio"]),
         float(fresh["totals"]["slo_violation_ratio"]),
+        tolerance,
     )
     shared = sorted(set(baseline["functions"]) & set(fresh["functions"]))
     if not shared:
         raise ValueError("no common functions between baseline and fresh scenario reports")
     for name in shared:
-        gate(
+        gate_rate(
+            failures,
             name,
             float(baseline["functions"][name]["slo_violation_ratio"]),
             float(fresh["functions"][name]["slo_violation_ratio"]),
+            tolerance,
         )
 
     base_completed = int(baseline["totals"]["completed"])
@@ -192,25 +150,26 @@ def check_scenario(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
 
 
 def check_sweep(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
-    """Sweep-report gate: per-cell SLO-violation and completed-count regressions."""
+    """Sweep-report gate: per-cell violation, mean-GPU and completed-count regressions."""
     failures: list[str] = []
     base_sweep = baseline.get("sweep") or {}
     fresh_sweep = fresh.get("sweep") or {}
-    base_id = [
-        base_sweep.get("name"),
-        (base_sweep.get("base") or {}).get("seed"),
-        baseline.get("quick"),
+    # Identity is what determines the replay: the base scenario (fleet, trace,
+    # nodes, seed), the axes (policies, thresholds) and the horizon.
+    differs = [
+        part
+        for part, base_part, fresh_part in (
+            ("base", base_sweep.get("base"), fresh_sweep.get("base")),
+            ("axes", base_sweep.get("axes"), fresh_sweep.get("axes")),
+            ("quick", baseline.get("quick"), fresh.get("quick")),
+        )
+        if base_part != fresh_part
     ]
-    fresh_id = [
-        fresh_sweep.get("name"),
-        (fresh_sweep.get("base") or {}).get("seed"),
-        fresh.get("quick"),
-    ]
-    if base_id != fresh_id:
+    if differs:
         raise ValueError(
             "sweep mismatch: the gate compares deterministic replays of the same "
-            "sweep name/base seed at the same quick/full horizon — "
-            f"baseline {base_id} vs fresh {fresh_id}"
+            "base scenario and axes at the same quick/full horizon — baseline and "
+            f"fresh differ in {differs}"
         )
     base_cells = {cell["key"]: cell for cell in baseline.get("cells") or ()}
     fresh_cells = {cell["key"]: cell for cell in fresh.get("cells") or ()}
@@ -222,18 +181,27 @@ def check_sweep(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
     for key in sorted(base_cells):
         base_metrics = base_cells[key]["metrics"]
         fresh_metrics = fresh_cells[key]["metrics"]
-        base_rate = float(base_metrics["slo_violation_ratio"])
-        fresh_rate = float(fresh_metrics["slo_violation_ratio"])
-        bound = base_rate * (1.0 + tolerance) + PREWARM_ABS_EPSILON
-        marker = "  [REGRESSION]" if fresh_rate > bound else ""
+        for metric in ("slo_violation_ratio", "effective_violation_ratio"):
+            gate_rate(
+                failures,
+                key,
+                float(base_metrics[metric]),
+                float(fresh_metrics[metric]),
+                tolerance,
+                what=metric,
+            )
+        base_gpus = float(base_metrics["mean_gpus"])
+        fresh_gpus = float(fresh_metrics["mean_gpus"])
+        gpu_bound = base_gpus * (1.0 + tolerance)
+        marker = "  [REGRESSION]" if fresh_gpus > gpu_bound else ""
         print(
-            f"slo_violation_ratio[{key:<38}]: baseline {100 * base_rate:6.2f}%   "
-            f"fresh {100 * fresh_rate:6.2f}%   bound {100 * bound:6.2f}%{marker}"
+            f"mean_gpus[{key:<38}]: baseline {base_gpus:7.2f}   "
+            f"fresh {fresh_gpus:7.2f}   bound {gpu_bound:7.2f}{marker}"
         )
-        if fresh_rate > bound:
+        if fresh_gpus > gpu_bound:
             failures.append(
-                f"{key}: SLO-violation rate regressed {100 * base_rate:.2f}% -> "
-                f"{100 * fresh_rate:.2f}% (bound {100 * bound:.2f}%)"
+                f"{key}: mean GPUs regressed {base_gpus:.2f} -> {fresh_gpus:.2f} "
+                f"(bound {gpu_bound:.2f})"
             )
         base_completed = int(base_metrics["completed"])
         fresh_completed = int(fresh_metrics["completed"])
@@ -244,126 +212,6 @@ def check_sweep(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
                     f"{key}: completed requests dropped {100 * drop:.1f}% "
                     f"({base_completed} -> {fresh_completed})"
                 )
-    return failures
-
-
-def check_swap(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
-    """Swap-report gate: keep-alive violation rates plus the domination headline."""
-    failures: list[str] = []
-    key = ("trace", "nodes", "fleet_size", "host_memory_mb", "fabric_gbps")
-    base_id = [baseline.get(k) for k in key]
-    fresh_id = [fresh.get(k) for k in key]
-    if base_id != fresh_id:
-        raise ValueError(
-            "swap-bench mismatch: the gate compares deterministic replays of the "
-            f"same fleet/cluster/trace — baseline {base_id} vs fresh {fresh_id}"
-        )
-    shared = sorted(set(baseline["policies"]) & set(fresh["policies"]))
-    if not shared:
-        raise ValueError("no common policies between baseline and fresh swap reports")
-    for policy in shared:
-        base_rate = float(baseline["policies"][policy]["slo_violation_ratio"])
-        fresh_rate = float(fresh["policies"][policy]["slo_violation_ratio"])
-        bound = base_rate * (1.0 + tolerance) + PREWARM_ABS_EPSILON
-        marker = "  [REGRESSION]" if fresh_rate > bound else ""
-        print(
-            f"slo_violation_ratio[{policy:<10}]: baseline {100 * base_rate:6.2f}%   "
-            f"fresh {100 * fresh_rate:6.2f}%   bound {100 * bound:6.2f}%{marker}"
-        )
-        if fresh_rate > bound:
-            failures.append(
-                f"{policy}: SLO-violation rate regressed {100 * base_rate:.2f}% -> "
-                f"{100 * fresh_rate:.2f}% (bound {100 * bound:.2f}%)"
-            )
-    base_head = baseline.get("headline") or {}
-    fresh_head = fresh.get("headline") or {}
-    if not fresh_head.get("dominates", False):
-        failures.append(
-            "memtier no longer strictly dominates: it must spend fewer GPU-seconds "
-            "than both scale-to-zero and WARM_IDLE-only at <= their violation rates"
-        )
-    for label in ("gpu_seconds_saving_vs_scale_to_zero", "gpu_seconds_saving_vs_warmidle"):
-        if label not in base_head or label not in fresh_head:
-            continue
-        base_saving = float(base_head[label])
-        fresh_saving = float(fresh_head[label])
-        shrink = base_saving - fresh_saving
-        note = "  [REGRESSION]" if shrink > tolerance * max(base_saving, 0.0) else ""
-        print(
-            f"{label:<38}: baseline {100 * base_saving:6.2f}%   "
-            f"fresh {100 * fresh_saving:6.2f}%{note}"
-        )
-        if shrink > tolerance * max(base_saving, 0.0):
-            failures.append(
-                f"{label}: GPU-seconds saving shrank {100 * base_saving:.2f}% -> "
-                f"{100 * fresh_saving:.2f}%"
-            )
-    return failures
-
-
-def check_migrate(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
-    """Migrate-report gate: per-cell regressions plus the improvement headline."""
-    failures: list[str] = []
-    key = ("trace", "nodes", "fleet_size", "threshold")
-    base_id = [baseline.get(k) for k in key]
-    fresh_id = [fresh.get(k) for k in key]
-    if base_id != fresh_id:
-        raise ValueError(
-            "migrate-bench mismatch: the gate compares deterministic replays of "
-            f"the same fleet/cluster/trace — baseline {base_id} vs fresh {fresh_id}"
-        )
-    shared = sorted(set(baseline["cells"]) & set(fresh["cells"]))
-    if not shared:
-        raise ValueError("no common cells between baseline and fresh migrate reports")
-    for cell in shared:
-        base_rate = float(baseline["cells"][cell]["effective_violation_ratio"])
-        fresh_rate = float(fresh["cells"][cell]["effective_violation_ratio"])
-        bound = base_rate * (1.0 + tolerance) + PREWARM_ABS_EPSILON
-        marker = "  [REGRESSION]" if fresh_rate > bound else ""
-        print(
-            f"eff_violation_ratio[{cell:<4}]: baseline {100 * base_rate:6.2f}%   "
-            f"fresh {100 * fresh_rate:6.2f}%   bound {100 * bound:6.2f}%{marker}"
-        )
-        if fresh_rate > bound:
-            failures.append(
-                f"{cell}: effective violation rate regressed {100 * base_rate:.2f}% "
-                f"-> {100 * fresh_rate:.2f}% (bound {100 * bound:.2f}%)"
-            )
-        base_gpus = float(baseline["cells"][cell]["mean_gpus"])
-        fresh_gpus = float(fresh["cells"][cell]["mean_gpus"])
-        gpu_bound = base_gpus * (1.0 + tolerance)
-        marker = "  [REGRESSION]" if fresh_gpus > gpu_bound else ""
-        print(
-            f"mean_gpus          [{cell:<4}]: baseline {base_gpus:7.2f}    "
-            f"fresh {fresh_gpus:7.2f}    bound {gpu_bound:7.2f}{marker}"
-        )
-        if fresh_gpus > gpu_bound:
-            failures.append(
-                f"{cell}: mean GPUs regressed {base_gpus:.2f} -> {fresh_gpus:.2f} "
-                f"(bound {gpu_bound:.2f})"
-            )
-    base_head = baseline.get("headline") or {}
-    fresh_head = fresh.get("headline") or {}
-    if not fresh_head.get("improves", False):
-        failures.append(
-            "defrag-on no longer strictly improves the fragmented fleet: it must "
-            "use fewer mean GPUs at <= effective violations (or fewer violations "
-            "at <= GPUs) than defrag-off"
-        )
-    if "mean_gpus_saving" in base_head and "mean_gpus_saving" in fresh_head:
-        base_saving = float(base_head["mean_gpus_saving"])
-        fresh_saving = float(fresh_head["mean_gpus_saving"])
-        shrink = base_saving - fresh_saving
-        note = "  [REGRESSION]" if shrink > tolerance * max(base_saving, 0.0) else ""
-        print(
-            f"mean_gpus_saving           : baseline {100 * base_saving:6.2f}%   "
-            f"fresh {100 * fresh_saving:6.2f}%{note}"
-        )
-        if shrink > tolerance * max(base_saving, 0.0):
-            failures.append(
-                f"mean_gpus_saving: defrag-on saving shrank {100 * base_saving:.2f}% "
-                f"-> {100 * fresh_saving:.2f}%"
-            )
     return failures
 
 
@@ -513,20 +361,8 @@ def main(argv: list[str] | None = None) -> int:
         # The serve gate's fresh side is a live ScenarioReport, not another
         # gate file.
         fresh = load_report(args.fresh, kinds=("scenario",) if kind == "serve" else (kind,))
-        if kind == "serve":
-            failures = check_serve(baseline, fresh, args.tolerance)
-        elif kind == "prewarm":
-            failures = check_prewarm(baseline, fresh, args.tolerance)
-        elif kind == "scenario":
-            failures = check_scenario(baseline, fresh, args.tolerance)
-        elif kind == "sweep":
-            failures = check_sweep(baseline, fresh, args.tolerance)
-        elif kind == "swap":
-            failures = check_swap(baseline, fresh, args.tolerance)
-        elif kind == "migrate":
-            failures = check_migrate(baseline, fresh, args.tolerance)
-        else:
-            failures = check(baseline, fresh, args.tolerance)
+        gate = {"serve": check_serve, "scenario": check_scenario, "sweep": check_sweep}
+        failures = gate.get(kind, check)(baseline, fresh, args.tolerance)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Command-line entry point: subcommands for experiments, scenarios, benches.
+"""Command-line entry point: subcommands for experiments, scenarios, sweeps.
 
 Usage::
 
@@ -7,6 +7,7 @@ Usage::
     python -m repro run all --quick --jobs 4
     python -m repro scenario examples/scenarios/cold_bursty.json [--quick]
     python -m repro sweep examples/sweeps/azure_fleet.json --quick --jobs 2
+    python -m repro sweep examples/sweeps/swap_quick.json --output S.json  # a bench
     python -m repro sweep --diff A.json B.json   # compare two saved sweep reports
     python -m repro scenario SPEC.json --telemetry --trace-out T.json --prom-out M.prom
     python -m repro explain REPORT.json --worst 3 # causal chains for SLO violations
@@ -14,14 +15,9 @@ Usage::
     python -m repro serve examples/scenarios/cold_bursty.json --quick --port 8080
     python -m repro replay examples/scenarios/cold_bursty.json --quick --port 8080
     python -m repro bench --quick                # writes BENCH_engine.json
-    python -m repro cluster-bench --quick        # writes BENCH_cluster.json
-    python -m repro prewarm-bench --quick        # writes BENCH_prewarm.json
-    python -m repro swap-bench --quick           # writes BENCH_swap.json
-    python -m repro migrate-bench --quick        # writes BENCH_migrate.json
 
-Each subcommand owns its flags (``--nodes`` belongs to the cluster benches,
-``--output`` to whatever report that subcommand writes) instead of leaking
-them into one global namespace.
+Each subcommand owns its flags (``--output`` belongs to whatever report that
+subcommand writes) instead of leaking them into one global namespace.
 
 ``run`` executes paper figures; ``--jobs N`` fans the selected experiments
 (and ``--replicates R`` seed replicates of each) across ``N`` worker
@@ -31,7 +27,7 @@ serial one.
 
 ``scenario`` evaluates a committed declarative spec (see
 :mod:`repro.scenario`) through ``FaSTGShare.run_scenario`` — the same code
-path fig12/fig14/fig15 use — printing the report summary and optionally
+path every sweep cell uses — printing the report summary and optionally
 writing its JSON (``--output``).  A malformed spec (unknown field, bad
 policy, bad model) exits non-zero with the offending path.
 
@@ -44,34 +40,19 @@ and optional hedged requests, then drains it and writes the live
 ``ScenarioReport`` (``mode: "live"``) for diffing against the sim run.
 
 ``sweep`` expands a committed parameter grid (see :mod:`repro.sweep`) over
-a base scenario and executes every cell — the same driver fig14/fig15 use
-for their policy comparisons — printing the cell table, per-axis deltas,
-and the SLO-vs-GPU-cost Pareto frontier; ``--jobs N`` fans cells across the
-process pool (bit-identical to serial).  ``sweep --diff A B`` compares two
-saved sweep reports cell by cell instead of running anything.
+a base scenario and executes every cell, printing the cell table, per-axis
+deltas, and the SLO-vs-GPU-cost Pareto frontier; ``--jobs N`` fans cells
+across the process pool (bit-identical to serial).  The policy benches are
+sweep specs (:data:`BENCH_SPECS`): fig14's placement policies
+(``cluster.json``), fig15's pre-warming (``prewarm.json``), the memory tier
+(``swap.json``) and defragmentation (``migrate.json``), each with a quick
+twin.  A spec's ``assert`` entries state its headline; ``sweep`` prints each
+one, writes ``--output``, and exits 1 if any fails.  ``sweep --diff A B``
+compares two saved sweep reports cell by cell instead of running anything.
 
-``cluster-bench`` replays a production-shaped trace set over a heterogeneous
-GPU cluster under each placement policy (``--nodes``/``--policies``);
-``prewarm-bench`` replays the cold/bursty subset under each *autoscaling*
-mode.  Both accept ``--trace-file`` to replay a committed trace file instead
-of synthesizing one, ``--jobs N`` to fan the per-policy replays across the
-process pool, and ``--warmup SECONDS`` to open the measured window after the
-initial ramp.
-
-``swap-bench`` replays a committed long-tail fleet (aggregate model size far
-beyond cluster GPU memory) under each keep-alive policy — scale-to-zero,
-WARM_IDLE-only, and the swap-aware memory tier — and reports GPU-seconds vs
-effective SLO violations (never-served requests count as violations); see
-:mod:`repro.experiments.swap_bench`.
-
-``migrate-bench`` replays a deliberately fragmented spread-placement fleet
-with background defragmentation off and on (live migration; see
-:mod:`repro.migrate`) and reports mean GPUs vs effective violations; see
-:mod:`repro.experiments.migrate_bench`.
-
-Any invalid invocation (unknown subcommand, bad ``--nodes``/``--policies``
-value, malformed scenario) exits non-zero with a usage message, and an
-experiment that raises exits 1 — CI cannot silently pass on a typo'd run.
+Any invalid invocation (unknown subcommand or flag, malformed scenario or
+sweep spec) exits 2 with a message, and an experiment that raises exits 1 —
+CI cannot silently pass on a typo'd run.
 """
 
 from __future__ import annotations
@@ -81,6 +62,15 @@ import sys
 
 from repro.experiments import runner
 from repro.experiments.runner import SIMPLE_EXPERIMENTS, ablations
+
+#: The committed bench specs (full shape; each has a ``*_quick.json`` CI
+#: twin, the migrate bench's being ``defrag_spread.json``).
+BENCH_SPECS = (
+    ("examples/sweeps/cluster.json", "fig14: placement policies on a heterogeneous cluster"),
+    ("examples/sweeps/prewarm.json", "fig15: predictive pre-warming vs reactive autoscaling"),
+    ("examples/sweeps/swap.json", "memory tier vs scale-to-zero / WARM_IDLE keep-alive"),
+    ("examples/sweeps/migrate.json", "background defragmentation on vs off"),
+)
 
 
 def _cmd_list() -> int:
@@ -92,10 +82,9 @@ def _cmd_list() -> int:
     print("replay     Fire a scenario's DES arrival schedule at a live server.")
     print("sweep      Run a declarative parameter sweep (examples/sweeps/*.json) or diff reports.")
     print("bench      Engine micro-benchmark (writes BENCH_engine.json).")
-    print("cluster-bench  Heterogeneous-cluster trace replay (writes BENCH_cluster.json).")
-    print("prewarm-bench  Reactive-vs-predictive autoscaling replay (writes BENCH_prewarm.json).")
-    print("swap-bench Long-tail keep-alive vs memory-tier replay (writes BENCH_swap.json).")
-    print("migrate-bench  Defragmentation on-vs-off replay (writes BENCH_migrate.json).")
+    print("Policy benches are sweep specs with assertions: python -m repro sweep SPEC.json")
+    for spec, what in BENCH_SPECS:
+        print(f"  {spec:<38} {what}")
     return 0
 
 
@@ -366,9 +355,9 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
+    if args.seed is not None:  # the base no longer matches its file
         sweep = dataclasses.replace(
-            sweep, base=dataclasses.replace(sweep.base, seed=args.seed)
+            sweep, base=dataclasses.replace(sweep.base, seed=args.seed), base_path=""
         )
     try:
         report = run_sweep(
@@ -378,6 +367,9 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             progress=lambda cell: print(f"[cell {cell.key} done]", file=sys.stderr),
         )
         print(report.summary())
+        results = report.check()
+        for result in results:
+            print(f"  {result.describe()}")
         if args.output:
             report.save(args.output)
             print(f"[report written to {args.output}]")
@@ -388,6 +380,14 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
         traceback.print_exc()
         print(f"error: sweep {sweep.name!r}: {exc}", file=sys.stderr)
+        return 1
+    failed = [r for r in results if not r.passed]
+    if failed:
+        print(
+            f"error: sweep {sweep.name!r}: {len(failed)} of {len(results)} "
+            "assertions failed",
+            file=sys.stderr,
+        )
         return 1
     return 0
 
@@ -408,162 +408,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     print(f"[report written to {args.output}]")
     return 0
-
-
-def _split_csv(raw: str) -> list[str]:
-    return [item.strip() for item in raw.split(",") if item.strip()]
-
-
-def _cmd_cluster_like(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Shared driver for cluster-bench / prewarm-bench (validate, run, write)."""
-    from repro.experiments import fig14_cluster, fig15_prewarm
-    from repro.experiments.fig14_cluster import DEFAULT_NODES, QUICK_NODES
-    from repro.experiments.fig15_prewarm import PREWARM_NODES, SCALING_POLICIES
-    from repro.gpu.specs import GPU_CATALOG
-    from repro.scheduler.mra import PLACEMENT_POLICIES
-
-    prewarm = args.command == "prewarm-bench"
-    known_policies = SCALING_POLICIES if prewarm else PLACEMENT_POLICIES
-    default_nodes = PREWARM_NODES if prewarm else DEFAULT_NODES
-    if args.nodes is None:
-        nodes = list(QUICK_NODES if args.quick else default_nodes)
-    else:
-        nodes = [n.upper() for n in _split_csv(args.nodes)]
-    if len(nodes) < 1:
-        parser.error("--nodes needs at least one GPU type")
-    for name in nodes:
-        if name not in GPU_CATALOG:
-            parser.error(f"unknown GPU type {name!r}; known: {sorted(GPU_CATALOG)}")
-    policies = list(known_policies) if args.policies is None else _split_csv(args.policies)
-    if not policies:
-        parser.error("--policies needs at least one policy")
-    for policy in policies:
-        if policy not in known_policies:
-            parser.error(f"unknown policy {policy!r}; known: {known_policies}")
-    if len(set(policies)) != len(policies):
-        parser.error(f"--policies lists a policy twice: {','.join(policies)}")
-    try:
-        if prewarm:
-            result = fig15_prewarm.run(
-                quick=args.quick,
-                seed=args.seed,
-                nodes=nodes,
-                policies=policies,
-                trace_file=args.trace_file,
-                jobs=args.jobs,
-                warmup_s=args.warmup,
-            )
-            print(fig15_prewarm.format_result(result))
-            fig15_prewarm.write_prewarm_report(args.output, result)
-        else:
-            result = fig14_cluster.run(
-                quick=args.quick,
-                seed=args.seed,
-                nodes=nodes,
-                policies=policies,
-                trace_file=args.trace_file,
-                jobs=args.jobs,
-                warmup_s=args.warmup,
-            )
-            print(fig14_cluster.format_result(result))
-            fig14_cluster.write_cluster_report(args.output, result)
-        print(f"[report written to {args.output}]")
-        return 0
-    except BrokenPipeError:  # e.g. `python -m repro ...-bench | head`
-        return 0
-    except Exception as exc:  # bad trace file, bench blow-up: exit non-zero
-        import traceback
-
-        traceback.print_exc()
-        print(f"error: {args.command}: {exc}", file=sys.stderr)
-        return 1
-
-
-def _cmd_swap_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments import swap_bench
-    from repro.gpu.specs import GPU_CATALOG
-
-    if args.nodes is None:
-        nodes = None  # module defaults (quick vs full shapes)
-    else:
-        nodes = [n.upper() for n in _split_csv(args.nodes)]
-        if not nodes:
-            parser.error("--nodes needs at least one GPU type")
-        for name in nodes:
-            if name not in GPU_CATALOG:
-                parser.error(f"unknown GPU type {name!r}; known: {sorted(GPU_CATALOG)}")
-    policies = None if args.policies is None else _split_csv(args.policies)
-    if policies is not None:
-        if not policies:
-            parser.error("--policies needs at least one policy")
-        for policy in policies:
-            if policy not in swap_bench.SWAP_POLICIES:
-                parser.error(
-                    f"unknown policy {policy!r}; known: {swap_bench.SWAP_POLICIES}"
-                )
-        if len(set(policies)) != len(policies):
-            parser.error(f"--policies lists a policy twice: {','.join(policies)}")
-    try:
-        result = swap_bench.run(
-            quick=args.quick,
-            seed=args.seed,
-            nodes=nodes,
-            policies=policies,
-            jobs=args.jobs,
-        )
-        print(swap_bench.format_result(result))
-        swap_bench.write_swap_report(args.output, result)
-        print(f"[report written to {args.output}]")
-        return 0
-    except BrokenPipeError:  # e.g. `python -m repro swap-bench | head`
-        return 0
-    except Exception as exc:  # bench blow-up: exit non-zero
-        import traceback
-
-        traceback.print_exc()
-        print(f"error: swap-bench: {exc}", file=sys.stderr)
-        return 1
-
-
-def _cmd_migrate_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments import migrate_bench
-    from repro.gpu.specs import GPU_CATALOG
-
-    if args.nodes is None:
-        nodes = None  # module defaults (quick vs full shapes)
-    else:
-        nodes = [n.upper() for n in _split_csv(args.nodes)]
-        if not nodes:
-            parser.error("--nodes needs at least one GPU type")
-        for name in nodes:
-            if name not in GPU_CATALOG:
-                parser.error(f"unknown GPU type {name!r}; known: {sorted(GPU_CATALOG)}")
-    threshold = (
-        migrate_bench.DEFRAG_THRESHOLD if args.threshold is None else args.threshold
-    )
-    if not 0.0 < threshold < 1.0:
-        parser.error(f"--threshold must be in (0, 1), got {threshold}")
-    try:
-        result = migrate_bench.run(
-            quick=args.quick,
-            seed=args.seed,
-            nodes=nodes,
-            fleet_size=args.fleet_size,
-            threshold=threshold,
-            jobs=args.jobs,
-        )
-        print(migrate_bench.format_result(result))
-        migrate_bench.write_migrate_report(args.output, result)
-        print(f"[report written to {args.output}]")
-        return 0
-    except BrokenPipeError:  # e.g. `python -m repro migrate-bench | head`
-        return 0
-    except Exception as exc:  # bench blow-up: exit non-zero
-        import traceback
-
-        traceback.print_exc()
-        print(f"error: migrate-bench: {exc}", file=sys.stderr)
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -810,127 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="where to write the JSON report",
     )
 
-    for name, default_output, help_text in (
-        ("cluster-bench", "BENCH_cluster.json", "heterogeneous-cluster trace replay"),
-        ("prewarm-bench", "BENCH_prewarm.json", "reactive-vs-predictive autoscaling replay"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--quick", action="store_true")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument(
-            "--nodes",
-            default=None,
-            metavar="GPUS",
-            help="comma-separated per-node GPU types, e.g. V100,A100,T4",
-        )
-        p.add_argument(
-            "--policies",
-            default=None,
-            metavar="POLICIES",
-            help="comma-separated policies to replay (default: all)",
-        )
-        p.add_argument(
-            "--output",
-            default=default_output,
-            metavar="PATH",
-            help="where to write the JSON report",
-        )
-        p.add_argument(
-            "--trace-file",
-            default=None,
-            metavar="PATH",
-            help="replay a committed trace file (fast-gshare-trace/1 JSON) "
-            "instead of synthesizing one",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            metavar="N",
-            help="worker processes for the per-policy replays "
-            "(default: 1 = serial; bit-identical to serial)",
-        )
-        p.add_argument(
-            "--warmup",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="exclude the first SECONDS of the replay from every metric "
-            "(steady-state window; default: the bench's measurement warm-up)",
-        )
-
-    p_swap = sub.add_parser(
-        "swap-bench", help="long-tail keep-alive vs memory-tier replay"
-    )
-    p_swap.add_argument("--quick", action="store_true")
-    p_swap.add_argument("--seed", type=int, default=42)
-    p_swap.add_argument(
-        "--nodes",
-        default=None,
-        metavar="GPUS",
-        help="comma-separated per-node GPU types (default: the bench's shape)",
-    )
-    p_swap.add_argument(
-        "--policies",
-        default=None,
-        metavar="POLICIES",
-        help="comma-separated keep-alive policies to replay (default: all)",
-    )
-    p_swap.add_argument(
-        "--output",
-        default="BENCH_swap.json",
-        metavar="PATH",
-        help="where to write the JSON report",
-    )
-    p_swap.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the per-policy replays "
-        "(default: 1 = serial; bit-identical to serial)",
-    )
-
-    p_migrate = sub.add_parser(
-        "migrate-bench", help="defragmentation on-vs-off replay (live migration)"
-    )
-    p_migrate.add_argument("--quick", action="store_true")
-    p_migrate.add_argument("--seed", type=int, default=42)
-    p_migrate.add_argument(
-        "--nodes",
-        default=None,
-        metavar="GPUS",
-        help="comma-separated per-node GPU types (default: the bench's shape)",
-    )
-    p_migrate.add_argument(
-        "--fleet-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="burst-then-decay functions in the fleet (default: the bench's shape)",
-    )
-    p_migrate.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="F",
-        help="defrag trigger threshold in (0, 1) for the 'on' cell "
-        "(default: the bench's)",
-    )
-    p_migrate.add_argument(
-        "--output",
-        default="BENCH_migrate.json",
-        metavar="PATH",
-        help="where to write the JSON report",
-    )
-    p_migrate.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the two cells "
-        "(default: 1 = serial; bit-identical to serial)",
-    )
     return parser
 
 
@@ -953,13 +676,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_serve(args)
     if args.command == "replay":
         return _cmd_replay(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "swap-bench":
-        return _cmd_swap_bench(args, parser)
-    if args.command == "migrate-bench":
-        return _cmd_migrate_bench(args, parser)
-    return _cmd_cluster_like(args, parser)
+    return _cmd_bench(args)
 
 
 if __name__ == "__main__":

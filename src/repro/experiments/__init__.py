@@ -13,10 +13,14 @@ fig10       spatial sharing: throughput/latency/util/occupancy (Fig. 10)
 fig11       scheduler packing across 4 nodes (Fig. 11)
 fig12       auto-scaling under a stepped trace, SLO violations (Fig. 12)
 fig13       model-sharing memory footprints (Fig. 13)
-fig14       cluster-scale trace replay on heterogeneous GPUs (extension)
 headline    the 3.15x / 1.34x / 3.13x improvement summary (§1, §5)
 ablations   MRA vs placement baselines; token scheduler variants
 ==========  ==========================================================
+
+The fig14/fig15 policy comparisons and the memory-tier / defragmentation
+benches are not modules: they are committed sweep specs
+(``examples/sweeps/{cluster,prewarm,swap,migrate}.json``) run by
+``python -m repro sweep``.
 
 :mod:`repro.experiments.runner` executes any subset of these — serially or
 fanned across a process pool with deterministic per-task seeds — and hosts
@@ -32,7 +36,6 @@ from repro.experiments import (  # noqa: F401  (re-export for discoverability)
     fig11_scheduler,
     fig12_autoscaling,
     fig13_modelsharing,
-    fig14_cluster,
     headline,
 )
 from repro.experiments import runner  # noqa: E402,F401  (after the figure
@@ -47,7 +50,6 @@ __all__ = [
     "fig11_scheduler",
     "fig12_autoscaling",
     "fig13_modelsharing",
-    "fig14_cluster",
     "headline",
     "runner",
 ]

@@ -5,8 +5,8 @@ The FaST-Scheduler runs the Heuristic Scaling Algorithm against the profile
 database and places pods with MRA.  The control path is the predictive
 autoscaler's **reactive degenerate** (``policy="reactive"``: no
 forecasters, no pre-warming) — the same controller the predictive policies
-run through, so this figure exercises exactly the code path prewarm-bench
-baselines against.  The experiment is expressed as a declarative
+run through, so this figure exercises exactly the code path the fig15
+prewarm bench baselines against.  The experiment is expressed as a declarative
 :class:`~repro.scenario.Scenario` (see :func:`build_scenario`) evaluated by
 ``FaSTGShare.run_scenario`` — the same path fig14/fig15 and the ``scenario``
 CLI replay.  The paper's acceptance bar: the SLO violation ratio stays

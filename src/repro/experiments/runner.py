@@ -39,8 +39,6 @@ from repro.experiments import (
     fig11_scheduler,
     fig12_autoscaling,
     fig13_modelsharing,
-    fig14_cluster,
-    fig15_prewarm,
     headline,
 )
 
@@ -53,8 +51,6 @@ SIMPLE_EXPERIMENTS: dict[str, _t.Any] = {
     "fig11": fig11_scheduler,
     "fig12": fig12_autoscaling,
     "fig13": fig13_modelsharing,
-    "fig14": fig14_cluster,
-    "fig15": fig15_prewarm,
     "headline": headline,
 }
 

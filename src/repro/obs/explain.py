@@ -14,7 +14,7 @@ forwards to name the control-plane decisions on its causal chain —
   happened);
 * the promotion / swap-in / placement that eventually served it.
 
-Never-served requests (the swap-bench effective-violation population) rank
+Never-served requests (the ``effective_violation_ratio`` population) rank
 worst of all; completed requests rank by excess latency over their
 function's SLO.
 """

@@ -10,8 +10,8 @@ pre-service wait), so span segment means reconcile exactly with
 
 Spans cover *every* submitted request, not just completed ones:
 
-* **never-served** requests (swap-bench's effective-violation population)
-  produce an open span — ``completed=False``, no service segment;
+* **never-served** requests (what ``effective_violation_ratio`` adds to
+  the violations) produce an open span — ``completed=False``, no service segment;
 * **drained in-flight** requests at measurement end keep their last
   ``service_start`` but no completion;
 * **rerouted** requests (their replica drained/died mid-queue) carry a

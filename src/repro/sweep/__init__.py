@@ -7,7 +7,8 @@ autoscaler × nodes × fleet size × workload scale × headroom);
 scenario code path (serially or on the experiment process pool); and
 :mod:`repro.sweep.report` reduces the cells into a :class:`SweepReport` with
 first-class comparisons (per-axis deltas, the SLO-vs-GPU-cost Pareto
-frontier, saved-report diffing).  The usual entry points::
+frontier, saved-report diffing, and the spec's declared ``assert``
+headlines).  The usual entry points::
 
     from repro.sweep import load_sweep, run_sweep
 
@@ -17,6 +18,7 @@ frontier, saved-report diffing).  The usual entry points::
 
 from repro.sweep.report import (
     HEADLINE_METRICS,
+    AssertionResult,
     CellResult,
     SweepReport,
     diff_reports,
@@ -24,9 +26,11 @@ from repro.sweep.report import (
 )
 from repro.sweep.runner import cell_metrics, run_cell, run_sweep
 from repro.sweep.spec import (
+    ASSERT_METRICS,
     SWEEP_AXES,
     SWEEP_FORMAT,
     Sweep,
+    SweepAssertion,
     SweepAxis,
     SweepCell,
     SweepError,
@@ -37,11 +41,14 @@ from repro.sweep.spec import (
 )
 
 __all__ = [
+    "ASSERT_METRICS",
     "HEADLINE_METRICS",
     "SWEEP_AXES",
     "SWEEP_FORMAT",
+    "AssertionResult",
     "CellResult",
     "Sweep",
+    "SweepAssertion",
     "SweepAxis",
     "SweepCell",
     "SweepError",

@@ -16,9 +16,17 @@ headline-metric dict, and the full embedded
   (``python -m repro sweep --diff A.json B.json``), for before/after
   comparisons across commits.
 
+:meth:`SweepReport.check` evaluates the spec's ``assert`` entries (see
+:class:`~repro.sweep.spec.SweepAssertion`) against the executed cells; each
+committed bench spec (``examples/sweeps/{cluster,prewarm,swap,migrate}*.json``)
+states its headline that way, and ``python -m repro sweep`` exits 1 when
+one fails.
+
 Serialization is a stable ``benchmark: "sweep"`` JSON that
-``benchmarks/check_regression.py`` gates in CI, with the deltas and
-frontier precomputed under ``"diffs"`` / ``"pareto"``.  Wall-clock cell
+``benchmarks/check_regression.py`` gates in CI against the committed
+``benchmarks/BENCH_*_quick.json`` reports, with the deltas and frontier
+precomputed under ``"diffs"`` / ``"pareto"`` and, when the spec declares
+any, the evaluated assertions under ``"assertions"``.  Wall-clock cell
 timings are deliberately *excluded* from the payload so a ``--jobs N`` run
 serializes bit-identically to the serial one.
 """
@@ -32,6 +40,7 @@ import typing as _t
 
 from repro.sweep.spec import (
     Sweep,
+    SweepAssertion,
     SweepError,
     axis_value_label,
     axis_value_to_json,
@@ -122,6 +131,38 @@ class CellResult:
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
+class AssertionResult:
+    """One evaluated :class:`~repro.sweep.spec.SweepAssertion`."""
+
+    assertion: SweepAssertion
+    value: float
+    ref_value: float
+
+    @property
+    def bound(self) -> float:
+        return self.assertion.factor * self.ref_value + self.assertion.slack
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound  # NaN on either side fails
+
+    def describe(self) -> str:
+        return (
+            f"assert {self.assertion.describe()}: {self.value:.6g} <= "
+            f"{self.bound:.6g}  {'PASS' if self.passed else 'FAIL'}"
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            **self.assertion.to_dict(),
+            "value": self.value,
+            "ref_value": self.ref_value,
+            "bound": self.bound,
+            "passed": self.passed,
+        }
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
 class SweepReport:
     """Everything one sweep measured, plus its derived comparisons."""
 
@@ -130,16 +171,38 @@ class SweepReport:
     cells: tuple[CellResult, ...]
 
     def cell(self, **coords: _t.Any) -> CellResult:
-        """The cell matching every given ``axis=value`` coordinate."""
+        """The one cell matching every given ``axis=value`` coordinate.
+
+        Raises ``KeyError`` for an axis the sweep lacks, or when the
+        coordinates match no cell or more than one.
+        """
+        axes = [axis.axis for axis in self.sweep.axes]
+        unknown = sorted(set(coords) - set(axes))
+        if unknown:
+            raise KeyError(f"no axis {unknown} in this sweep; axes: {axes}")
         wanted = {
             axis: tuple(value) if isinstance(value, list) else value
             for axis, value in coords.items()
         }
-        for cell in self.cells:
-            have = dict(cell.coords)
-            if all(have.get(axis) == value for axis, value in wanted.items()):
-                return cell
-        raise KeyError(f"no cell matching {coords!r}")
+        matches = [
+            cell
+            for cell in self.cells
+            if all(dict(cell.coords)[axis] == value for axis, value in wanted.items())
+        ]
+        if len(matches) != 1:
+            raise KeyError(f"{len(matches)} cells match {coords!r}; want exactly one")
+        return matches[0]
+
+    def check(self) -> tuple[AssertionResult, ...]:
+        """Evaluate every ``assert`` entry of the spec against the cells."""
+        return tuple(
+            AssertionResult(
+                assertion=a,
+                value=self.cell(**dict(a.cell)).metric(a.metric),
+                ref_value=self.cell(**dict(a.ref)).metric(a.metric),
+            )
+            for a in self.sweep.assertions
+        )
 
     # -- comparisons ------------------------------------------------------------
     def axis_deltas(self) -> dict[str, dict[str, dict[str, float]]]:
@@ -213,7 +276,7 @@ class SweepReport:
     # -- serialization ----------------------------------------------------------
     def to_dict(self) -> dict:
         pareto = self.pareto()
-        return {
+        payload = {
             "benchmark": "sweep",
             "format": REPORT_FORMAT,
             "quick": self.quick,
@@ -226,6 +289,11 @@ class SweepReport:
                 "cells": [cell.key for cell in pareto],
             },
         }
+        # Only specs that state assertions record them, so assertion-free
+        # reports stay byte-identical to those written before they existed.
+        if self.sweep.assertions:
+            payload["assertions"] = [result.to_dict() for result in self.check()]
+        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

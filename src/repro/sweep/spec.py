@@ -40,11 +40,29 @@ Axes (:data:`SWEEP_AXES`):
 * ``defrag``         — background-defragmentation trigger threshold in
   (0, 1) (``null`` disables live migration entirely, the default).
 
+``base`` is either an inline scenario object or the path of a committed
+scenario file (``"base": "examples/scenarios/longtail_swap.json"``, loaded
+through :func:`~repro.scenario.spec.load_scenario`, relative to the working
+directory like trace paths); the string form round-trips as written.
+
+A sweep may also state its headline as data: an optional ``"assert"`` list
+of :class:`SweepAssertion` entries, each comparing one metric between two
+cells::
+
+    {"cell": {"autoscaler": "memtier"}, "metric": "gpu_seconds",
+     "ref": {"autoscaler": "hybrid"}, "factor": 0.9192, "slack": 0.0}
+
+holds iff ``cell.metric <= factor * ref.metric + slack``.  ``python -m repro
+sweep`` evaluates every assertion after the cells run and exits 1 if any
+fails.
+
 Validation is strict (:class:`SweepError` with the offending path): unknown
 axes, duplicate axes or values, out-of-range values, a ``fleet_size`` larger
-than the base fleet, or a ``workload_scale`` axis over a ``trace``-kind
-workload (file-backed counts cannot be rescaled declaratively) never
-silently run a different grid.
+than the base fleet, a ``workload_scale`` axis over a ``trace``-kind
+workload (file-backed counts cannot be rescaled declaratively), or an
+assertion naming an unknown metric, an absent axis or value, coordinates
+that do not pick exactly one cell, or a non-positive factor never silently
+run a different grid.
 """
 
 from __future__ import annotations
@@ -57,7 +75,13 @@ import zlib
 
 from repro.autoscaler.registry import available_policies
 from repro.gpu.specs import GPU_CATALOG
-from repro.scenario.spec import DefragSpec, Scenario, ScenarioError, WorkloadSpec
+from repro.scenario.spec import (
+    DefragSpec,
+    Scenario,
+    ScenarioError,
+    WorkloadSpec,
+    load_scenario,
+)
 from repro.scheduler.mra import PLACEMENT_POLICIES
 
 #: Format tag written into serialized sweeps (bumped on breaking change).
@@ -74,6 +98,29 @@ SWEEP_AXES = (
     "fabric_gbps",
     "host_memory",
     "defrag",
+)
+
+#: Cell metrics an assertion may compare: the numeric keys every cell of
+#: :func:`repro.sweep.runner.cell_metrics` carries.
+ASSERT_METRICS = (
+    "submitted",
+    "completed",
+    "slo_violation_ratio",
+    "effective_violation_ratio",
+    "p95_ms",
+    "gpu_seconds",
+    "mean_gpus",
+    "peak_gpus",
+    "mean_alloc_fraction",
+    "cold_hit_requests",
+    "cold_wait_ms_mean",
+    "queue_wait_ms_mean",
+    "scale_ups",
+    "scale_downs",
+    "nofit_events",
+    "prewarms",
+    "promotions",
+    "retirements",
 )
 
 
@@ -251,6 +298,73 @@ class SweepCell:
         return {axis: axis_value_to_json(value) for axis, value in self.coords}
 
 
+def _coords_from_json(payload: _t.Any, path: str) -> tuple[tuple[str, _t.Any], ...]:
+    if not isinstance(payload, dict) or not payload:
+        raise SweepError(f"{path}: expected a non-empty {{axis: value}} object")
+    return tuple(
+        (str(axis), tuple(value) if isinstance(value, list) else value)
+        for axis, value in payload.items()
+    )
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class SweepAssertion:
+    """``cell.metric <= factor * ref.metric + slack`` between two grid cells."""
+
+    cell: tuple[tuple[str, _t.Any], ...]
+    metric: str
+    ref: tuple[tuple[str, _t.Any], ...]
+    factor: float = 1.0
+    slack: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.metric not in ASSERT_METRICS:
+            raise SweepError(
+                f"assert: unknown metric {self.metric!r}; known: {ASSERT_METRICS}"
+            )
+        if not self.factor > 0:
+            raise SweepError(f"assert: factor must be positive, got {self.factor}")
+
+    def describe(self) -> str:
+        """One-line rendering, e.g. ``autoscaler=memtier.gpu_seconds <= 0.9192 x ...``."""
+        slack = f" + {self.slack:g}" if self.slack else ""
+        return (
+            f"{coords_key(self.cell)}.{self.metric} <= "
+            f"{self.factor:g} x {coords_key(self.ref)}{slack}"
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "cell": {axis: axis_value_to_json(v) for axis, v in self.cell},
+            "metric": self.metric,
+            "ref": {axis: axis_value_to_json(v) for axis, v in self.ref},
+            "factor": self.factor,
+            "slack": self.slack,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: _t.Any, path: str = "assert") -> "SweepAssertion":
+        if not isinstance(payload, dict):
+            raise SweepError(f"{path}: expected an object, got {type(payload).__name__}")
+        data = dict(payload)
+        numbers = {}
+        for name, default in (("factor", 1.0), ("slack", 0.0)):
+            value = data.pop(name, default)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SweepError(f"{path}.{name}: expected a number, got {value!r}")
+            numbers[name] = float(value)
+        cell = _coords_from_json(data.pop("cell", None), f"{path}.cell")
+        ref = _coords_from_json(data.pop("ref", None), f"{path}.ref")
+        metric = data.pop("metric", None)
+        if data:
+            fields = ", ".join(repr(k) for k in sorted(data))
+            raise SweepError(f"{path}: unknown field(s) {fields}")
+        try:
+            return cls(cell=cell, metric=str(metric), ref=ref, **numbers)
+        except SweepError as exc:
+            raise SweepError(f"{path}: {exc}") from exc
+
+
 def _scale_workload(spec: WorkloadSpec, factor: float, function: str) -> WorkloadSpec:
     """Multiply one function's offered load by ``factor`` (load-fair axis)."""
     if spec.kind == "synthetic":
@@ -342,6 +456,10 @@ class Sweep:
     reseed: bool = False
     cell_budget_s: float | None = None
     description: str = ""
+    assertions: tuple[SweepAssertion, ...] = ()
+    #: The scenario file ``base`` was loaded from, when the spec names one
+    #: (serialized back as that string); empty for an inline base.
+    base_path: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -365,6 +483,25 @@ class Sweep:
                 for fn in self.base.functions:
                     if fn.workload.kind == "trace":
                         _scale_workload(fn.workload, 1.0, fn.name)  # raises
+        for i, assertion in enumerate(self.assertions):
+            self._check_coords(assertion.cell, f"assert[{i}].cell")
+            self._check_coords(assertion.ref, f"assert[{i}].ref")
+
+    def _check_coords(self, coords: tuple[tuple[str, _t.Any], ...], path: str) -> None:
+        """Coordinates must name real axes and values and pick exactly one cell."""
+        by_name = {axis.axis: axis for axis in self.axes}
+        for name, value in coords:
+            if name not in by_name:
+                raise SweepError(f"{path}: no axis {name!r} in this sweep; axes: {list(by_name)}")
+            if value not in by_name[name].values:
+                raise SweepError(
+                    f"{path}: {name}={value!r} is not a value of that axis "
+                    f"({[axis_value_to_json(v) for v in by_name[name].values]})"
+                )
+        named = {name for name, _ in coords}
+        unnamed = [a.axis for a in self.axes if len(a.values) > 1 and a.axis not in named]
+        if unnamed:
+            raise SweepError(f"{path}: must pick exactly one cell; also name {unnamed}")
 
     @property
     def cell_count(self) -> int:
@@ -406,9 +543,11 @@ class Sweep:
         payload: dict[str, _t.Any] = {
             "format": SWEEP_FORMAT,
             "name": self.name,
-            "base": self.base.to_dict(),
+            "base": self.base_path or self.base.to_dict(),
             "axes": [axis.to_dict() for axis in self.axes],
         }
+        if self.assertions:
+            payload["assert"] = [a.to_dict() for a in self.assertions]
         if self.reseed:
             payload["reseed"] = True
         if self.cell_budget_s is not None:
@@ -433,14 +572,25 @@ class Sweep:
             isinstance(budget, bool) or not isinstance(budget, (int, float))
         ):
             raise SweepError(f"sweep.cell_budget_s: expected a number, got {budget!r}")
+        raw_base = data.pop("base", None)
         try:
-            base = Scenario.from_dict(data.pop("base", None))
+            if isinstance(raw_base, str):
+                base = load_scenario(raw_base)
+            else:
+                base = Scenario.from_dict(raw_base)
         except ScenarioError as exc:
             raise SweepError(f"base: {exc}") from exc
         raw_axes = data.pop("axes", None)
         if not isinstance(raw_axes, list):
             raise SweepError("sweep.axes: expected a list of axis entries")
         axes = tuple(SweepAxis.from_dict(entry) for entry in raw_axes)
+        raw_asserts = data.pop("assert", [])
+        if not isinstance(raw_asserts, list):
+            raise SweepError("sweep.assert: expected a list of assertion entries")
+        assertions = tuple(
+            SweepAssertion.from_dict(entry, f"assert[{i}]")
+            for i, entry in enumerate(raw_asserts)
+        )
         if data:
             fields = ", ".join(repr(k) for k in sorted(data))
             raise SweepError(f"sweep: unknown field(s) {fields}")
@@ -451,6 +601,8 @@ class Sweep:
             reseed=reseed,
             cell_budget_s=None if budget is None else float(budget),
             description=description,
+            assertions=assertions,
+            base_path=raw_base if isinstance(raw_base, str) else "",
         )
 
     def to_json(self) -> str:

@@ -2,8 +2,8 @@
 
 Requests that park in the gateway pending queue because *no* replica was
 accepting record that time as ``cold_wait``; ordinary waiting behind other
-requests on a live replica stays ``replica_queue_wait``.  prewarm-bench
-uses this split to attribute wins, so the two must not be conflated.
+requests on a live replica stays ``replica_queue_wait``.  The fig15 prewarm
+bench uses this split to attribute wins, so the two must not be conflated.
 """
 
 from __future__ import annotations

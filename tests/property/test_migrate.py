@@ -190,15 +190,12 @@ def test_defrag_axis_validation():
 
 
 def test_defrag_axis_application():
-    from repro.experiments import migrate_bench
+    import pathlib
 
-    base = migrate_bench.base_scenario(
-        migrate_bench.fragmented_fleet(2),
-        ("V100", "V100"),
-        seed=1,
-        burst=(2.0, 2.0),
-        tail=(2.0, 0.5),
-    )
+    from repro.sweep import load_sweep
+
+    spec = pathlib.Path(__file__).resolve().parents[2] / "examples/sweeps/defrag_spread.json"
+    base = load_sweep(str(spec)).base
     assert base.cluster.defrag is None
     on = apply_axis(base, "defrag", 0.4)
     assert on.cluster.defrag == DefragSpec(threshold=0.4)

@@ -123,6 +123,13 @@ def test_cell_lookup_by_coords():
     assert cell.metric("gpu_seconds") == pytest.approx(180.0)
     with pytest.raises(KeyError):
         report.cell(placement="affinity")
+    # An axis the sweep lacks is an error, not a wildcard: defrag=None must
+    # not match every cell just because none of them has a defrag coordinate.
+    with pytest.raises(KeyError, match="no axis"):
+        report.cell(placement="spread", headroom=2.0, defrag=None)
+    # Coordinates matching several cells are ambiguous, not "the first one".
+    with pytest.raises(KeyError, match="2 cells match"):
+        report.cell(placement="spread")
 
 
 def test_diff_reports_matches_cells_and_shows_deltas():

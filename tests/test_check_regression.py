@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
 import pathlib
@@ -75,61 +76,84 @@ def test_gate_passes_on_committed_baseline_against_itself():
     assert check_regression.main(["--baseline", committed, "--fresh", committed]) == 0
 
 
-# -- prewarm gate -----------------------------------------------------------------
-def make_prewarm_report(reactive=0.05, predictive=0.01, oracle=0.005, nodes=None):
-    return {
-        "benchmark": "prewarm",
-        "nodes": list(nodes or ["V100", "A100"]),
-        "trace": {"seed": 42, "bins": 10, "bin_s": 3.0},
-        "policies": {
-            "reactive": {"slo_violation_ratio": reactive},
-            "predictive": {"slo_violation_ratio": predictive},
-            "oracle": {"slo_violation_ratio": oracle},
-        },
-    }
+# -- the bench specs' committed quick reports, gated as sweeps -------------------
+def committed_sweep(name: str) -> dict:
+    return json.loads((_GATE_PATH.parent / f"BENCH_{name}_quick.json").read_text())
+
+
+def bump(report: dict, key: str, metric: str, factor: float) -> dict:
+    """A copy of ``report`` with one cell's metric scaled by ``factor``."""
+    report = copy.deepcopy(report)
+    cell = next(c for c in report["cells"] if c["key"] == key)
+    cell["metrics"][metric] *= factor
+    return report
+
+
+def gate(tmp_path, baseline: dict, fresh: dict) -> int:
+    """The gate's exit code on two in-memory reports."""
+    baseline_path = write(tmp_path, "b.json", baseline)
+    return check_regression.main(
+        ["--baseline", baseline_path, "--fresh", write(tmp_path, "f.json", fresh)]
+    )
 
 
 def test_prewarm_gate_passes_within_tolerance(tmp_path):
-    baseline = write(tmp_path, "b.json", make_prewarm_report())
-    fresh = write(tmp_path, "f.json", make_prewarm_report(predictive=0.012))
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 0
+    baseline = committed_sweep("prewarm")
+    fresh = bump(baseline, "autoscaler=hybrid", "slo_violation_ratio", 1.2)
+    assert gate(tmp_path, baseline, fresh) == 0
 
 
 def test_prewarm_gate_fails_on_violation_regression(tmp_path, capsys):
-    baseline = write(tmp_path, "b.json", make_prewarm_report(predictive=0.01))
-    fresh = write(tmp_path, "f.json", make_prewarm_report(predictive=0.03))
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 1
-    assert "REGRESSION" in capsys.readouterr().err
-
-
-def test_prewarm_gate_fails_when_predictive_stops_beating_reactive(tmp_path, capsys):
-    baseline = write(tmp_path, "b.json", make_prewarm_report())
-    fresh = write(
-        tmp_path, "f.json", make_prewarm_report(reactive=0.01, predictive=0.20)
-    )
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 1
-    assert "no longer beats reactive" in capsys.readouterr().err
+    baseline = committed_sweep("prewarm")
+    fresh = bump(baseline, "autoscaler=hybrid", "slo_violation_ratio", 3.0)
+    assert gate(tmp_path, baseline, fresh) == 1
+    err = capsys.readouterr().err
+    assert "REGRESSION" in err and "autoscaler=hybrid" in err
 
 
 def test_prewarm_gate_allows_near_zero_noise(tmp_path):
-    baseline = write(tmp_path, "b.json", make_prewarm_report(predictive=0.0))
-    fresh = write(tmp_path, "f.json", make_prewarm_report(predictive=0.004))
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 0
+    def oracle_at(rate: float) -> dict:
+        report = committed_sweep("prewarm")
+        cell = next(c for c in report["cells"] if c["key"] == "autoscaler=oracle")
+        cell["metrics"].update(slo_violation_ratio=rate, effective_violation_ratio=rate)
+        return report
+
+    assert gate(tmp_path, oracle_at(0.0), oracle_at(0.004)) == 0
 
 
 def test_prewarm_gate_rejects_trace_mismatch(tmp_path, capsys):
-    baseline = write(tmp_path, "b.json", make_prewarm_report())
-    mismatched = make_prewarm_report()
-    mismatched["trace"]["seed"] = 7
-    fresh = write(tmp_path, "f.json", mismatched)
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 2
-    assert "mismatch" in capsys.readouterr().err
+    baseline = committed_sweep("prewarm")
+    fresh = copy.deepcopy(baseline)
+    fresh["sweep"]["base"]["functions"][0]["workload"]["bins"] = 12
+    assert gate(tmp_path, baseline, fresh) == 2
+    err = capsys.readouterr().err
+    assert "sweep mismatch" in err and "base" in err
 
 
 def test_prewarm_gate_rejects_kind_mismatch(tmp_path, capsys):
-    baseline = write(tmp_path, "b.json", make_prewarm_report())
-    fresh = write(tmp_path, "f.json", make_report(150.0))
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 2
+    assert gate(tmp_path, committed_sweep("prewarm"), make_report(150.0)) == 2
+
+
+def test_swap_gate_rejects_fleet_mismatch(tmp_path, capsys):
+    baseline = committed_sweep("swap")
+    fresh = copy.deepcopy(baseline)
+    del fresh["sweep"]["base"]["functions"][-1]
+    assert gate(tmp_path, baseline, fresh) == 2
+    assert "sweep mismatch" in capsys.readouterr().err
+
+
+def test_cluster_gate_rejects_node_mismatch(tmp_path, capsys):
+    baseline = committed_sweep("cluster")
+    fresh = copy.deepcopy(baseline)
+    fresh["sweep"]["base"]["cluster"]["nodes"] = ["V100", "V100", "T4"]
+    assert gate(tmp_path, baseline, fresh) == 2
+    assert "sweep mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["cluster", "prewarm", "swap"])
+def test_bench_gate_passes_on_committed_quick_report_against_itself(name):
+    committed = str(_GATE_PATH.parent / f"BENCH_{name}_quick.json")
+    assert check_regression.main(["--baseline", committed, "--fresh", committed]) == 0
 
 
 # -- scenario gate ----------------------------------------------------------------
@@ -209,7 +233,12 @@ def make_sweep_report(cells=None, name="grid", seed=7, quick=True):
         "cells": [
             {
                 "key": key,
-                "metrics": {"slo_violation_ratio": rate, "completed": completed},
+                "metrics": {
+                    "slo_violation_ratio": rate,
+                    "effective_violation_ratio": rate,
+                    "mean_gpus": 2.0,
+                    "completed": completed,
+                },
             }
             for key, (rate, completed) in cells.items()
         ],
@@ -356,68 +385,35 @@ def test_serve_gate_rejects_scenario_mismatch(tmp_path, capsys):
     assert "serve-smoke mismatch" in capsys.readouterr().err
 
 
-# ---------------------------------------------------------------------------
-# migrate kind (defragmentation on-vs-off)
-# ---------------------------------------------------------------------------
-
-
-def make_migrate_report(
-    on_viol: float = 0.20,
-    on_gpus: float = 2.0,
-    improves: bool = True,
-    saving: float = 0.50,
-    fleet_size: int = 6,
-) -> dict:
-    return {
-        "benchmark": "migrate",
-        "nodes": ["V100"] * 4,
-        "fleet_size": fleet_size,
-        "trace": {"seed": 42, "burst": [8.0, 12.0], "tail": [30.0, 0.5]},
-        "threshold": 0.3,
-        "cells": {
-            "off": {"effective_violation_ratio": 0.22, "mean_gpus": 4.0},
-            "on": {"effective_violation_ratio": on_viol, "mean_gpus": on_gpus},
-        },
-        "headline": {"improves": improves, "mean_gpus_saving": saving, "migrations": 10},
-    }
+# -- the migrate bench (defrag_spread.json) as a sweep report ---------------------
 
 
 def test_migrate_gate_passes_on_identical_reports(tmp_path):
-    baseline = write(tmp_path, "b.json", make_migrate_report())
-    fresh = write(tmp_path, "f.json", make_migrate_report())
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 0
+    report = committed_sweep("migrate")
+    assert gate(tmp_path, report, report) == 0
 
 
 def test_migrate_gate_fails_on_violation_growth(tmp_path, capsys):
-    baseline = write(tmp_path, "b.json", make_migrate_report())
-    fresh = write(tmp_path, "f.json", make_migrate_report(on_viol=0.40))
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 1
-    assert "REGRESSION" in capsys.readouterr().err
+    """Effective violations count never-served requests; their growth fails."""
+    baseline = committed_sweep("migrate")
+    fresh = bump(baseline, "defrag=0.3", "effective_violation_ratio", 1.5)
+    assert gate(tmp_path, baseline, fresh) == 1
+    err = capsys.readouterr().err
+    assert "effective_violation_ratio regressed" in err and "defrag=0.3" in err
 
 
 def test_migrate_gate_fails_on_gpu_growth(tmp_path, capsys):
-    baseline = write(tmp_path, "b.json", make_migrate_report())
-    fresh = write(tmp_path, "f.json", make_migrate_report(on_gpus=3.5))
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 1
+    baseline = committed_sweep("migrate")
+    fresh = bump(baseline, "defrag=0.3", "mean_gpus", 1.5)
+    assert gate(tmp_path, baseline, fresh) == 1
     assert "mean GPUs regressed" in capsys.readouterr().err
 
 
-def test_migrate_gate_fails_when_improvement_breaks(tmp_path, capsys):
-    baseline = write(tmp_path, "b.json", make_migrate_report())
-    fresh = write(tmp_path, "f.json", make_migrate_report(improves=False))
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 1
-    assert "no longer strictly improves" in capsys.readouterr().err
-
-
-def test_migrate_gate_fails_on_saving_shrink(tmp_path, capsys):
-    baseline = write(tmp_path, "b.json", make_migrate_report(saving=0.50))
-    fresh = write(tmp_path, "f.json", make_migrate_report(saving=0.10))
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 1
-    assert "saving shrank" in capsys.readouterr().err
-
-
 def test_migrate_gate_rejects_fixture_mismatch(tmp_path, capsys):
-    baseline = write(tmp_path, "b.json", make_migrate_report())
-    fresh = write(tmp_path, "f.json", make_migrate_report(fleet_size=10))
-    assert check_regression.main(["--baseline", baseline, "--fresh", fresh]) == 2
-    assert "migrate-bench mismatch" in capsys.readouterr().err
+    """A different defrag threshold is a different replay: exit 2, not a verdict."""
+    baseline = committed_sweep("migrate")
+    fresh = copy.deepcopy(baseline)
+    fresh["sweep"]["axes"][0]["values"] = [None, 0.4, 0.5]
+    assert gate(tmp_path, baseline, fresh) == 2
+    err = capsys.readouterr().err
+    assert "sweep mismatch" in err and "axes" in err

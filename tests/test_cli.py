@@ -1,9 +1,10 @@
 """CLI contract tests: valid invocations succeed, typos exit non-zero.
 
 The CLI is argparse subparsers (``run`` / ``list`` / ``scenario`` / ``sweep``
-/ ``bench`` / ``cluster-bench`` / ``prewarm-bench``); each subcommand owns
-its flags, so a bench flag on ``run`` is a usage error, not a silently
-ignored option.
+/ ``bench`` / ...); each subcommand owns its flags, so a stray flag on
+``run`` is a usage error, not a silently ignored option.  The policy benches
+are committed sweep specs (``examples/sweeps/*.json``), so a bad policy,
+GPU type or threshold is a malformed spec: ``sweep`` exits 2 naming it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,16 @@ EXAMPLE_SCENARIO = str(
     / "scenarios"
     / "cold_bursty.json"
 )
+SWEEPS = pathlib.Path(__file__).resolve().parents[1] / "examples" / "sweeps"
+
+
+def edited_bench_spec(tmp_path, name: str, edit) -> str:
+    """Write a copy of committed bench spec ``name`` after ``edit(spec)``."""
+    spec = json.loads((SWEEPS / f"{name}.json").read_text())
+    edit(spec)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
 
 
 def test_no_subcommand_exits_nonzero_with_usage(capsys):
@@ -54,24 +65,26 @@ def test_unknown_flag_exits_nonzero_with_usage(capsys):
 
 
 def test_bench_flags_do_not_leak_into_run(capsys):
-    # --trace-file belongs to the cluster benches; `run` must reject it.
+    # --output belongs to the report-writing subcommands; `run` must reject it.
     with pytest.raises(SystemExit) as excinfo:
-        main(["run", "fig12", "--trace-file", "foo.json"])
+        main(["run", "fig12", "--output", "foo.json"])
     assert excinfo.value.code == 2
     assert "usage:" in capsys.readouterr().err
 
 
-def test_bad_cluster_policy_exits_nonzero(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["cluster-bench", "--quick", "--policies", "binpak"])
-    assert excinfo.value.code == 2
-    assert "unknown policy" in capsys.readouterr().err
+def test_bad_cluster_policy_exits_nonzero(tmp_path, capsys):
+    def edit(spec):
+        spec["axes"][0]["values"] = ["binpack", "binpak"]
+
+    assert main(["sweep", edited_bench_spec(tmp_path, "cluster_quick", edit)]) == 2
+    assert "unknown placement" in capsys.readouterr().err
 
 
-def test_bad_cluster_gpu_exits_nonzero(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["cluster-bench", "--quick", "--nodes", "V100,H900"])
-    assert excinfo.value.code == 2
+def test_bad_cluster_gpu_exits_nonzero(tmp_path, capsys):
+    def edit(spec):
+        spec["base"]["cluster"]["nodes"] = ["V100", "H900"]
+
+    assert main(["sweep", edited_bench_spec(tmp_path, "cluster_quick", edit)]) == 2
     assert "unknown GPU type" in capsys.readouterr().err
 
 
@@ -82,50 +95,54 @@ def test_bad_replicates_exits_nonzero(capsys):
     assert "--replicates" in capsys.readouterr().err
 
 
-def test_bad_prewarm_policy_exits_nonzero(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["prewarm-bench", "--quick", "--policies", "predictve"])
-    assert excinfo.value.code == 2
+def test_bad_prewarm_policy_exits_nonzero(tmp_path, capsys):
+    def edit(spec):
+        spec["axes"][0]["values"] = ["reactive", "predictve"]
+
+    assert main(["sweep", edited_bench_spec(tmp_path, "prewarm_quick", edit)]) == 2
     assert "unknown policy" in capsys.readouterr().err
 
 
-def test_missing_trace_file_exits_one(capsys):
-    assert main(["prewarm-bench", "--quick", "--trace-file", "/nonexistent.json"]) == 1
+def test_missing_trace_file_exits_one(tmp_path, capsys):
+    def edit(spec):
+        for fn in spec["base"]["functions"]:
+            fn["workload"] = {"kind": "trace", "path": "/nonexistent.json"}
+
+    assert main(["sweep", edited_bench_spec(tmp_path, "prewarm_quick", edit)]) == 1
+    assert "/nonexistent.json" in capsys.readouterr().err
 
 
 def test_list_mentions_every_subcommand(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "cluster-bench" in out and "fig14" in out
-    assert "prewarm-bench" in out and "fig15" in out
-    assert "scenario" in out
+    for command in ("scenario", "sweep", "serve", "replay", "bench"):
+        assert command in out
+    for name in ("cluster", "prewarm", "swap", "migrate"):
+        assert f"examples/sweeps/{name}.json" in out
+    assert "cluster-bench" not in out and "fig14 " not in out
 
 
 def test_cluster_bench_quick_writes_report(tmp_path, capsys):
     out_path = tmp_path / "BENCH_cluster.json"
-    code = main(
-        [
-            "cluster-bench",
-            "--quick",
-            "--nodes",
-            "V100,A100,T4",
-            "--policies",
-            "binpack,affinity",
-            "--output",
-            str(out_path),
-        ]
-    )
-    assert code == 0
+    spec = str(SWEEPS / "cluster_quick.json")
+    assert main(["sweep", spec, "--output", str(out_path)]) == 0
     report = json.loads(out_path.read_text())
-    assert report["benchmark"] == "cluster"
-    assert report["nodes"] == ["V100", "A100", "T4"]
-    assert set(report["policies"]) == {"binpack", "affinity"}
-    for metrics in report["policies"].values():
+    assert report["benchmark"] == "sweep"
+    assert report["quick"] is False
+    assert report["sweep"] == json.loads(pathlib.Path(spec).read_text())
+    assert report["sweep"]["base"]["cluster"]["nodes"] == ["V100", "A100", "T4"]
+    assert "assertions" not in report  # the spec declares none
+    assert [cell["key"] for cell in report["cells"]] == [
+        "placement=binpack",
+        "placement=spread",
+        "placement=affinity",
+    ]
+    for cell in report["cells"]:
+        metrics = cell["metrics"]
         assert 0.0 <= metrics["slo_violation_ratio"] <= 1.0
         assert metrics["peak_gpus"] >= 1
         assert metrics["completed"] > 0
-    out = capsys.readouterr().out
-    assert "cluster-scale trace replay" in out
+    assert "Sweep 'cluster-quick'" in capsys.readouterr().out
 
 
 # -- scenario subcommand ----------------------------------------------------------
@@ -311,22 +328,25 @@ def test_sweep_diff_malformed_cells_exits_two(tmp_path, capsys):
     assert "coords" in capsys.readouterr().err
 
 
-def test_duplicate_policies_exit_with_usage(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["prewarm-bench", "--quick", "--policies", "reactive,reactive"])
-    assert excinfo.value.code == 2
-    assert "twice" in capsys.readouterr().err
+def test_duplicate_policies_exit_with_usage(tmp_path, capsys):
+    def edit(spec):
+        spec["axes"][0]["values"] = ["reactive", "reactive"]
+
+    assert main(["sweep", edited_bench_spec(tmp_path, "prewarm_quick", edit)]) == 2
+    assert "duplicate values" in capsys.readouterr().err
 
 
-def test_migrate_bench_bad_threshold_exits_nonzero(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["migrate-bench", "--quick", "--threshold", "1.5"])
-    assert excinfo.value.code == 2
-    assert "--threshold" in capsys.readouterr().err
+def test_migrate_bench_bad_threshold_exits_nonzero(tmp_path, capsys):
+    def edit(spec):
+        spec["axes"][0]["values"] = [None, 1.5]
+
+    assert main(["sweep", edited_bench_spec(tmp_path, "migrate", edit)]) == 2
+    assert "defrag threshold must be in (0, 1)" in capsys.readouterr().err
 
 
-def test_migrate_bench_bad_gpu_exits_nonzero(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["migrate-bench", "--quick", "--nodes", "V100,H900"])
-    assert excinfo.value.code == 2
+def test_migrate_bench_bad_gpu_exits_nonzero(tmp_path, capsys):
+    def edit(spec):
+        spec["base"]["cluster"]["nodes"] = ["V100", "H900"]
+
+    assert main(["sweep", edited_bench_spec(tmp_path, "migrate", edit)]) == 2
     assert "unknown GPU type" in capsys.readouterr().err

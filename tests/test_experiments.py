@@ -2,10 +2,14 @@
 
 The benchmarks assert the paper shapes at slightly larger scale; these tests
 guard that every runner executes, returns well-formed results, and that the
-headline directions hold even at the smallest scale.
+headline directions hold even at the smallest scale.  The fig14/fig15, swap
+and migrate benches are sweep specs; their tests read the quick specs'
+reports and their ``assert`` verdicts.
 """
 
 from __future__ import annotations
+
+import pathlib
 
 import pytest
 
@@ -16,9 +20,12 @@ from repro.experiments import (
     fig11_scheduler,
     fig12_autoscaling,
     fig13_modelsharing,
-    fig14_cluster,
-    fig15_prewarm,
 )
+from repro.gpu.specs import gpu_spec
+from repro.models.scaling import gpu_type_factor
+from repro.sweep import load_sweep, run_sweep
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_fig01_quick():
@@ -57,111 +64,124 @@ def test_fig13_quick():
     assert "memory footprint" in fig13_modelsharing.format_result(result)
 
 
-def test_fig14_quick():
-    result = fig14_cluster.run(quick=True)
-    assert len(result.nodes) >= 3
-    assert len({result.node_factors[f"node{i}"] for i in range(len(result.nodes))}) >= 3
-    assert len(result.outcomes) == 3  # binpack, spread, affinity by default
-    policies = [out.policy for out in result.outcomes]
-    assert policies == list(dict.fromkeys(policies))  # unique, ordered
-    for out in result.outcomes:
-        assert out.completed > 0
-        assert 0.0 <= out.slo_violation_ratio <= 1.0
-        assert 1 <= out.peak_gpus <= len(result.nodes)
-        assert set(out.per_function_violations) == {f for f, _, _, _ in result.functions}
-    assert "cluster-scale trace replay" in fig14_cluster.format_result(result)
-    payload = fig14_cluster.report_payload(result)
-    assert set(payload["policies"]) == set(policies)
+def test_fig14_quick(bench_report):
+    """fig14 is the ``cluster_quick.json`` spec: one cell per placement policy."""
+    report = bench_report("cluster_quick")
+    nodes = report.sweep.base.cluster.nodes
+    assert len(nodes) >= 3
+    assert len({gpu_type_factor(gpu_spec(name)) for name in nodes}) >= 3
+    policies = [dict(cell.coords)["placement"] for cell in report.cells]
+    assert policies == ["binpack", "spread", "affinity"]
+    functions = {fn.name for fn in report.sweep.base.functions}
+    for cell in report.cells:
+        metrics = cell.metrics
+        assert metrics["completed"] > 0
+        assert 0.0 <= metrics["slo_violation_ratio"] <= 1.0
+        assert 1 <= metrics["peak_gpus"] <= len(nodes)
+        assert set(metrics["per_function_violations"]) == functions
+    assert "placement=affinity" in report.summary()
 
 
-def test_fig15_quick():
-    result = fig15_prewarm.run(quick=True)
-    assert [out.policy for out in result.outcomes] == list(fig15_prewarm.SCALING_POLICIES)
-    for out in result.outcomes:
-        assert out.completed > 0
-        assert 0.0 <= out.slo_violation_ratio <= 1.0
-        assert out.gpu_seconds > 0
-        assert set(out.per_function_violations) == {f for f, _, _, _ in result.functions}
-    reactive = result.outcome("reactive")
-    assert reactive.prewarms == 0 and reactive.promotions == 0
-    predictive = result.outcome("predictive")
-    assert predictive.prewarms > 0
-    assert "pre-warming" in fig15_prewarm.format_result(result)
-    payload = fig15_prewarm.report_payload(result)
-    assert payload["benchmark"] == "prewarm"
-    assert "headline" in payload
-    assert payload["headline"]["violation_improvement_vs_reactive"] > 0
+def test_fig15_quick(bench_report):
+    """fig15 is the ``prewarm_quick.json`` spec: one cell per autoscaler."""
+    report = bench_report("prewarm_quick")
+    policies = [dict(cell.coords)["autoscaler"] for cell in report.cells]
+    assert policies == ["reactive", "hybrid", "oracle"]
+    functions = {fn.name for fn in report.sweep.base.functions}
+    for cell in report.cells:
+        metrics = cell.metrics
+        assert metrics["completed"] > 0
+        assert 0.0 <= metrics["slo_violation_ratio"] <= 1.0
+        assert metrics["gpu_seconds"] > 0
+        assert set(metrics["per_function_violations"]) == functions
+    reactive = report.cell(autoscaler="reactive").metrics
+    assert reactive["prewarms"] == 0 and reactive["promotions"] == 0
+    assert report.cell(autoscaler="hybrid").metrics["prewarms"] > 0
+    assert report.sweep.assertions and all(r.passed for r in report.check())
 
 
 def test_fig15_trace_file_roundtrip(tmp_path):
-    from repro.faas.traces import synthesize_trace_set
+    """A saved trace file replays exactly like the synthetic workload it came from."""
+    import dataclasses
 
+    from repro.faas.traces import synthesize_trace_set
+    from repro.scenario import WorkloadSpec
+    from repro.sweep import SweepAxis
+
+    synthetic = load_sweep(str(REPO / "examples" / "sweeps" / "prewarm_quick.json"))
+    synthetic = dataclasses.replace(
+        synthetic,
+        assertions=(),
+        axes=(SweepAxis(axis="autoscaler", values=("reactive", "hybrid")),),
+    )
+    base = synthetic.base
     trace_set = synthesize_trace_set(
-        [("bq", "bert", "bursty", 6.0), ("gt", "gnmt", "cold", 3.0)],
-        bins=8,
-        bin_s=3.0,
-        seed=5,
+        [(f.name, f.model, f.workload.shape, f.workload.mean_rps) for f in base.functions],
+        bins=base.functions[0].workload.bins,
+        bin_s=base.functions[0].workload.bin_s,
+        seed=base.seed,
     )
     path = tmp_path / "traces.json"
     trace_set.save(str(path))
-    result = fig15_prewarm.run(
-        quick=True, policies=["reactive", "predictive"], trace_file=str(path)
+    from_file = dataclasses.replace(
+        synthetic,
+        base=dataclasses.replace(
+            base,
+            functions=tuple(
+                dataclasses.replace(f, workload=WorkloadSpec(kind="trace", path=str(path)))
+                for f in base.functions
+            ),
+        ),
     )
-    assert {f for f, _, _, _ in result.functions} == {"bq", "gt"}
-    assert result.trace_seed == 5  # the file's seed wins
-    assert result.bins == 8 and result.bin_s == 3.0
+    replayed = run_sweep(from_file)
+    expected = run_sweep(synthetic)
+    assert [c.metrics for c in replayed.cells] == [c.metrics for c in expected.cells]
 
 
-def test_swap_bench_quick():
-    from repro.experiments import swap_bench
-
-    result = swap_bench.run(quick=True)
-    assert [out.policy for out in result.outcomes] == list(swap_bench.SWAP_POLICIES)
-    memtier = result.outcome("memtier")
-    assert memtier.demotions > 0  # the tier actually acted
-    assert memtier.swap_promotions > 0
-    for out in result.outcomes:
-        assert out.submitted > 0
-        assert 0.0 <= out.effective_violation_ratio <= 1.0
-        assert out.slo_violation_ratio <= out.effective_violation_ratio + 1e-12
-        assert out.unserved_requests == out.submitted - out.completed
-        assert out.gpu_seconds > 0
+def test_swap_bench_quick(bench_report):
+    report = bench_report("swap_quick")
+    policies = [dict(cell.coords)["autoscaler"] for cell in report.cells]
+    assert policies == ["hybrid", "warmidle", "memtier"]
+    memtier = report.cell(autoscaler="memtier").metrics
+    assert memtier["demotions"] > 0  # the tier actually acted
+    assert memtier["swap_promotions"] > 0
+    for cell in report.cells:
+        metrics = cell.metrics
+        assert metrics["submitted"] > 0
+        assert 0.0 <= metrics["effective_violation_ratio"] <= 1.0
+        assert metrics["slo_violation_ratio"] <= metrics["effective_violation_ratio"] + 1e-12
+        assert metrics["gpu_seconds"] > 0
     for baseline in ("hybrid", "warmidle"):
-        assert result.outcome(baseline).demotions == 0
+        assert "demotions" not in report.cell(autoscaler=baseline).metrics
     # The committed quick configuration is the CI gate: domination must hold.
-    assert result.dominates
-    assert result.gpu_seconds_saving("hybrid") > 0
-    assert result.gpu_seconds_saving("warmidle") > 0
-    assert "strict domination" in swap_bench.format_result(result)
-    payload = swap_bench.report_payload(result)
-    assert payload["benchmark"] == "swap"
-    assert payload["headline"]["dominates"] is True
-    tiers = payload["fleet_tiers"]
-    assert set(tiers) == {"steady", "periodic", "rare"}
-    assert sum(tiers.values()) == payload["fleet_size"]
+    results = report.check()
+    assert len(results) == 4 and all(r.passed for r in results)
+    assert [r["passed"] for r in report.to_dict()["assertions"]] == [True] * 4
 
 
-def test_swap_bench_jobs_matches_serial():
-    import json
-
-    from repro.experiments import swap_bench
-
-    serial = swap_bench.report_payload(swap_bench.run(quick=True))
-    pooled = swap_bench.report_payload(swap_bench.run(quick=True, jobs=2))
-    assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+def test_swap_bench_jobs_matches_serial(bench_report):
+    pooled = run_sweep(load_sweep(str(REPO / "examples" / "sweeps" / "swap_quick.json")), jobs=2)
+    assert pooled.to_json() == bench_report("swap_quick").to_json()
 
 
-def test_swap_bench_longtail_fleet_shape():
-    from repro.experiments import swap_bench
+def test_swap_bench_longtail_fleet_shape(monkeypatch):
+    """The full swap spec's base is the committed 212-function long-tail fleet."""
     from repro.models import MODEL_ZOO
+    from repro.scenario import load_scenario
 
-    fleet = swap_bench.longtail_fleet(periodic=10, rare=200, heads=2)
-    assert len(fleet) == 212
-    tiers = {tier for _, _, tier, _ in fleet}
-    assert tiers == {"steady", "periodic", "rare"}
-    for _, model, _, mean_rps in fleet:
-        assert model in MODEL_ZOO
-        assert mean_rps > 0
+    monkeypatch.chdir(REPO)  # the spec names its base file repo-relative
+    fleet = load_scenario("examples/scenarios/longtail_swap.json")
+    assert load_sweep("examples/sweeps/swap.json").base == fleet
+    assert len(fleet.functions) == 212
+    tiers = {fn.name.split("-")[0] for fn in fleet.functions}
+    assert tiers == {"head", "tail", "rare"}
+    assert sum(fn.name.startswith("rare-") for fn in fleet.functions) == 200
+    for fn in fleet.functions:
+        assert fn.model in MODEL_ZOO
+        if fn.workload.kind == "synthetic":
+            assert fn.workload.mean_rps > 0
+        else:
+            assert sum(fn.workload.counts) > 0
 
 
 def test_ablation_format():
@@ -184,31 +204,22 @@ def test_cli_list_and_run(capsys):
     assert "Fig. 13" in out and "finished" in out
 
 
-def test_migrate_bench_quick():
-    import json
-
-    from repro.experiments import migrate_bench
-
-    result = migrate_bench.run(quick=True)
-    assert [out.defrag for out in result.outcomes] == ["off", "on"]
-    off, on = result.outcome("off"), result.outcome("on")
-    assert off.migrations == 0 and off.migration_aborts == 0
-    assert on.migrations > 0  # the defragmenter actually acted
-    for out in result.outcomes:
-        assert out.submitted > 0
-        assert 0.0 <= out.effective_violation_ratio <= 1.0
-        assert out.slo_violation_ratio <= out.effective_violation_ratio + 1e-12
-        assert out.unserved_requests == out.submitted - out.completed
+def test_migrate_bench_quick(bench_report):
+    """The migrate bench's quick shape is ``defrag_spread.json``."""
+    report = bench_report("defrag_spread")
+    assert [dict(c.coords)["defrag"] for c in report.cells] == [None, 0.3, 0.5]
+    off = report.cell(defrag=None).metrics
+    on = report.cell(defrag=0.3).metrics
+    assert "migrations" not in off and "migration_aborts" not in off
+    assert on["migrations"] > 0  # the defragmenter actually acted
+    for cell in report.cells:
+        metrics = cell.metrics
+        assert metrics["submitted"] > 0
+        assert 0.0 <= metrics["effective_violation_ratio"] <= 1.0
+        assert metrics["slo_violation_ratio"] <= metrics["effective_violation_ratio"] + 1e-12
+        # Migrations must not lose a single request.
+        assert metrics["submitted"] == metrics["completed"]
     # The committed quick configuration is the CI gate: the improvement
-    # headline must hold, and migrations must not lose a single request.
-    assert result.improves
-    assert result.mean_gpus_saving > 0
-    assert on.unserved_requests == off.unserved_requests == 0
-    assert "strict improvement" in migrate_bench.format_result(result)
-    payload = migrate_bench.report_payload(result)
-    assert payload["benchmark"] == "migrate"
-    assert payload["headline"]["improves"] is True
-    assert set(payload["cells"]) == {"off", "on"}
-    # jobs=2 replays the same deterministic cells.
-    pooled = migrate_bench.report_payload(migrate_bench.run(quick=True, jobs=2))
-    assert json.dumps(payload, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+    # headline must hold.
+    results = report.check()
+    assert len(results) == 2 and all(r.passed for r in results)
