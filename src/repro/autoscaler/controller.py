@@ -222,7 +222,9 @@ class PredictiveAutoscaler:
         swap_in_s = weight_mb = None
         if self.lifecycle is not None:
             parked_ids = tuple(self.lifecycle.parked(name))
-            swap_in_s = self.lifecycle.swap_in_estimate_s(name)
+            # The oldest parked pod's node is the one a promotion would use.
+            node_name = controller.parked[parked_ids[0]].node_name if parked_ids else None
+            swap_in_s = self.lifecycle.swap_in_estimate_s(name, node_name)
             weight_mb = self.lifecycle.weights_mb(name)
         return FunctionView(
             function=name,

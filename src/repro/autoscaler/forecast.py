@@ -32,6 +32,7 @@ Implementations:
 from __future__ import annotations
 
 import abc
+import bisect
 import math
 import typing as _t
 
@@ -211,7 +212,7 @@ class HybridHistogram(Forecaster):
         self.min_samples = min_samples
         self.min_keepalive_s = min_keepalive_s
         self.alpha = alpha
-        self.gaps: list[float] = []
+        self.gaps: list[float] = []  # ascending, so a bisect finds the tail
         self.last_active_time: float | None = None
         self._last_active_bin: int | None = None
         self._active_ewma: float | None = None
@@ -222,7 +223,7 @@ class HybridHistogram(Forecaster):
         if self._last_active_bin is not None:
             gap = (bin_index - self._last_active_bin) * self.bin_s
             if gap > 0:
-                self.gaps.append(gap)
+                bisect.insort(self.gaps, gap)
         self._last_active_bin = bin_index
         # End of the active bin: the most recent moment we know traffic existed.
         self.last_active_time = (bin_index + 1) * self.bin_s
@@ -252,7 +253,7 @@ class HybridHistogram(Forecaster):
         *conditional* distribution (gaps > elapsed) is what turns the
         histogram from "always imminent" into a clump forecaster.
         """
-        return sorted(g for g in self.gaps if g > elapsed)
+        return self.gaps[bisect.bisect_right(self.gaps, elapsed):]
 
     def next_active_time(self, now: float) -> float | None:
         if self.last_active_time is None or len(self.gaps) < self.min_samples:

@@ -91,14 +91,10 @@ class ReplicaLifecycle:
 
         The documented promotion-cost hook: ``weights / fair_share`` where
         fair share assumes this transfer joins the node fabric's current
-        membership.  ``node_name=None`` uses the oldest parked pod's node
-        (the one :meth:`promote` would pick), falling back to node 0.
+        membership.  Pass the node of the pod a promotion would swap in (the
+        oldest parked one, see :meth:`promote`); ``node_name=None`` means
+        node 0.
         """
-        if node_name is None:
-            pods = self.parked(function)
-            if pods:
-                controller = self.controllers[function]
-                node_name = controller.parked[pods[0]].node_name
         node = self.cluster.node(node_name if node_name is not None else 0)
         return node.fabric.estimate_s(self.weights_mb(function))
 

@@ -41,10 +41,16 @@ class ProfilePoint:
 
 
 class ProfileDatabase:
-    """In-memory store of profiling records, indexed by function."""
+    """In-memory store of profiling records, indexed by function.
+
+    ``version`` counts inserts, so a consumer that caches something derived
+    from the records (the scaler's SLO-feasible candidates) can tell when
+    its cache went stale.
+    """
 
     def __init__(self) -> None:
         self._records: dict[str, list[ProfilePoint]] = collections.defaultdict(list)
+        self.version = 0
 
     def insert(self, point: ProfilePoint) -> None:
         """Add a record, replacing any existing record at the same (S, Q)."""
@@ -54,6 +60,7 @@ class ProfileDatabase:
             if not (r.sm_partition == point.sm_partition and r.quota == point.quota)
         ]
         rows.append(point)
+        self.version += 1
 
     def points(self, function: str) -> list[ProfilePoint]:
         """All records for a function, sorted by (S, Q)."""

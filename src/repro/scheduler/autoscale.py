@@ -64,6 +64,10 @@ class HeuristicScaler:
     SLO are candidates for ``p_eff``/``p_ideal`` — GPU-efficient but slow
     configurations (tiny partitions, thin quotas) must not be deployed for a
     latency-bound function.  The remaining SLO fraction is queueing budget.
+
+    The candidate set and its ``p_eff`` are memoised per function — every
+    tick asks for them, the profile rarely changes — and the memo is dropped
+    whenever ``database.version`` moves (an ``insert``).
     """
 
     def __init__(
@@ -79,10 +83,31 @@ class HeuristicScaler:
         self.slo_ms = dict(slo_ms) if slo_ms else {}
         self.latency_headroom = latency_headroom
         self.epsilon_rps = epsilon_rps
+        self._memo: dict[str, tuple[list[ProfilePoint], ProfilePoint]] = {}
+        self._memo_version = database.version
 
     # -- SLO-feasible candidate set ------------------------------------------
     def candidate_points(self, function: str) -> list[ProfilePoint]:
         """Profile points meeting the function's SLO latency budget."""
+        return list(self._feasible(function)[0])
+
+    def p_eff(self, function: str) -> ProfilePoint:
+        """The most GPU-efficient SLO-feasible configuration."""
+        return self._feasible(function)[1]
+
+    def _feasible(self, function: str) -> tuple[list[ProfilePoint], ProfilePoint]:
+        """The memoised (candidates, p_eff) pair; a missing profile raises
+        ``KeyError`` on every call rather than being memoised."""
+        if self._memo_version != self.database.version:
+            self._memo.clear()
+            self._memo_version = self.database.version
+        memo = self._memo.get(function)
+        if memo is None:
+            candidates = self._filter(function)
+            memo = self._memo[function] = (candidates, max(candidates, key=lambda p: p.rpr))
+        return memo
+
+    def _filter(self, function: str) -> list[ProfilePoint]:
         points = self.database.points(function)
         if not points:
             raise KeyError(f"no profile records for function {function!r}")
@@ -100,10 +125,6 @@ class HeuristicScaler:
         # Nothing fits the budget: fall back to the fastest configuration —
         # deploying *something* beats refusing to scale at all.
         return [min(points, key=latency)]
-
-    def p_eff(self, function: str) -> ProfilePoint:
-        """The most GPU-efficient SLO-feasible configuration."""
-        return max(self.candidate_points(function), key=lambda p: p.rpr)
 
     # -- the algorithm -------------------------------------------------------
     def plan(
@@ -144,7 +165,7 @@ class HeuristicScaler:
         By construction ``r < T_eff`` so the p_eff fallback only triggers on
         degenerate single-point profiles.
         """
-        candidates = [p for p in self.candidate_points(function) if p.throughput > residual]
+        candidates = [p for p in self._feasible(function)[0] if p.throughput > residual]
         if not candidates:
             return p_eff
         return min(candidates, key=lambda p: (p.throughput - residual, -p.rpr))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.autoscaler.forecast import (
     FORECASTER_KINDS,
@@ -109,6 +111,27 @@ def test_histogram_abstains_without_samples():
     feed(fc, [3, 0, 0])
     assert fc.next_active_time(3.0) is None
     assert fc.idle_deadline(3.0) is None
+
+
+@given(
+    steps=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), max_size=60),
+    bin_s=st.sampled_from([0.25, 1.0, 2.5]),
+    elapsed=st.lists(st.floats(min_value=-1.0, max_value=150.0), min_size=1, max_size=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_histogram_conditional_gaps_match_a_full_sort(steps, bin_s, elapsed):
+    fc = HybridHistogram(bin_s=bin_s)
+    bin_index, active, gaps = 0, None, []
+    for skip, count in steps:
+        bin_index += skip
+        fc.observe(bin_index, count)
+        if count > 0:
+            if active is not None and bin_index > active:
+                gaps.append((bin_index - active) * bin_s)
+            active = bin_index
+    assert fc.gaps == sorted(gaps)
+    for value in [*elapsed, *gaps]:  # recorded gaps probe the bisect boundary
+        assert fc._conditional_gaps(value) == sorted(g for g in gaps if g > value)
 
 
 # -- oracle ------------------------------------------------------------------------

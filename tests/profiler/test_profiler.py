@@ -56,6 +56,7 @@ def test_insert_replaces_same_config():
     db.insert(ProfilePoint("f", 12, 0.4, 20.0))
     assert len(db.points("f")) == 1
     assert db.throughput_of("f", 12, 0.4) == 20.0
+    assert db.version == 2  # a replacement is an insert too
 
 
 def test_lookup_missing():

@@ -127,3 +127,49 @@ def test_residual_prefers_higher_rpr_on_throughput_tie(db: ProfileDatabase):
     scaler = HeuristicScaler(db)
     actions = scaler.plan({"f": 5.0}, {"f": []})
     assert (actions[0].sm_partition, actions[0].quota) == (6, 0.4)
+
+
+# -- the candidate / p_eff memo -----------------------------------------------------
+def test_insert_after_build_reaches_candidates_and_p_eff(db: ProfileDatabase):
+    scaler = HeuristicScaler(db)
+    assert (scaler.p_eff("f").sm_partition, scaler.p_eff("f").quota) == (12, 0.4)
+    before = len(scaler.candidate_points("f"))
+    db.insert(ProfilePoint("f", 6, 0.2, 9.0))  # rpr 7.5: the new p_eff
+    assert len(scaler.candidate_points("f")) == before + 1
+    assert (scaler.p_eff("f").sm_partition, scaler.p_eff("f").quota) == (6, 0.2)
+    # Replacing a point at the same (S, Q) is an insert too.
+    db.insert(ProfilePoint("f", 6, 0.2, 1.0))
+    assert len(scaler.candidate_points("f")) == before + 1
+    assert (scaler.p_eff("f").sm_partition, scaler.p_eff("f").quota) == (12, 0.4)
+
+
+def test_insert_after_build_reaches_slo_filtered_candidates():
+    db = ProfileDatabase()
+    db.insert(ProfilePoint("f", 12, 0.4, 18.0, p95_ms=90.0))
+    db.insert(ProfilePoint("f", 50, 1.0, 40.0, p95_ms=20.0))
+    scaler = HeuristicScaler(db, slo_ms={"f": 100.0}, latency_headroom=0.5)
+    assert [p.sm_partition for p in scaler.candidate_points("f")] == [50]
+    db.insert(ProfilePoint("f", 24, 0.6, 30.0, p95_ms=40.0))
+    assert [p.sm_partition for p in scaler.candidate_points("f")] == [24, 50]
+    assert scaler.p_eff("f").sm_partition == 24
+
+
+def test_mutating_returned_candidates_leaves_memo_intact(db: ProfileDatabase):
+    scaler = HeuristicScaler(db)
+    first = scaler.candidate_points("f")
+    expected = list(first)
+    first.clear()
+    first.append(ProfilePoint("f", 1, 1.0, 1e9))
+    assert scaler.candidate_points("f") == expected
+    assert (scaler.p_eff("f").sm_partition, scaler.p_eff("f").quota) == (12, 0.4)
+
+
+def test_missing_profile_raises_every_time(db: ProfileDatabase):
+    scaler = HeuristicScaler(db)
+    for _ in range(3):
+        with pytest.raises(KeyError):
+            scaler.candidate_points("ghost")
+        with pytest.raises(KeyError):
+            scaler.p_eff("ghost")
+    db.insert(ProfilePoint("ghost", 24, 0.5, 30.0))
+    assert scaler.p_eff("ghost").throughput == 30.0
