@@ -3,8 +3,8 @@
 A minimal, deterministic process-based DES in the style of SimPy, purpose
 built for the FaST-GShare reproduction.  Components:
 
-* :class:`~repro.sim.engine.Engine` — the event loop (binary-heap scheduler,
-  virtual clock, process spawning).
+* :class:`~repro.sim.engine.Engine` — the event loop (binary heap plus a
+  same-time ready lane, virtual clock, process spawning).
 * :class:`~repro.sim.events.Event` — one-shot triggerable events that
   processes can wait on.
 * :class:`~repro.sim.process.Process` — generator-based coroutine processes;
@@ -25,7 +25,6 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Gate, Store
 from repro.sim.rng import RngStreams
-from repro.sim.tracing import TraceLog, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -42,7 +41,5 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
-    "TraceLog",
-    "TraceRecord",
     "WallClock",
 ]

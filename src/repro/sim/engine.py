@@ -1,29 +1,45 @@
 """The discrete-event engine: virtual clock + compacting binary-heap scheduler.
 
 The engine is deliberately small and allocation-light: the hot path (pop a
-handle, run a callback) is a few attribute accesses, which keeps multi-minute
-cluster simulations in the hundreds-of-milliseconds range (see
-``benchmarks/test_engine_speed.py``).
+handle, run a callback) is a few attribute accesses and C-level tuple
+comparisons, with no Python-level ``__lt__`` on the heap.
+
+Queue layout
+------------
+Pending handles live in two structures that together form one
+``(time, seq)``-ordered queue:
+
+* the **heap** of ``(time, seq, handle)`` tuples, for handles due later than
+  the clock at the moment they were scheduled;
+* the **ready lane**, a FIFO deque of handles scheduled *at* the current
+  time (process starts and resumes, zero-delay timeouts, interrupts).
+
+Pop order is exact: a heap entry due at ``now`` was scheduled before the
+clock reached ``now``, so its ``seq`` is smaller than that of every handle
+in the ready lane.  The loop therefore pops heap entries due at ``now``
+first, then the ready lane, and only then advances the clock to the heap's
+top.  The clock never advances while the ready lane is non-empty.
 
 Complexity guarantees
 ---------------------
-* ``schedule`` / ``schedule_at``: O(log n) heap push.
-* ``Handle.cancel``: O(1) — lazy deletion, the entry stays in the heap but is
-  counted dead.  When more than half of the heap is dead (and the heap is
-  non-trivially sized) the next scheduling operation **compacts** the heap:
-  dead entries are dropped and the survivors re-heapified in O(n).  Amortised,
-  every cancelled handle is touched O(1) extra times, and the heap never holds
-  more than 2× the live entries — cancel-heavy workloads (fluid-device timer
-  churn, speculative timeouts) no longer bloat ``step``'s pop loop.
-* ``pending_events``: exact and O(1) (live-entry counter, not a heap scan).
-* ``peek``: O(1) amortised — drains dead entries off the top only.
-* ``run(until=...)``: batched fast path with locally-bound heap ops; clock
-  semantics are unchanged (advances to exactly ``until`` even if no event
-  fires there, mirroring SimPy so metric integrals cover the full horizon).
+* ``schedule`` / ``schedule_at``: O(1) deque append when the handle is due
+  now, otherwise O(log n) heap push.
+* ``Handle.cancel``: O(1) — lazy deletion, the entry stays queued but is
+  counted dead.  When more than half of the queued entries are dead (and
+  the queue is non-trivially sized) the next scheduling operation
+  **compacts** both structures: dead entries are dropped and the heap is
+  re-heapified in O(n).  Amortised, every cancelled handle is touched O(1)
+  extra times, and the queue never holds more than 2× the live entries.
+* ``pending_events``: exact and O(1) (live-entry counter, not a scan).
+* ``peek``: O(1) amortised — drains dead entries off the front only.
+* ``run(until=...)``: one inlined loop with locally-bound queue ops; the
+  clock advances to exactly ``until`` even if no event fires there,
+  mirroring SimPy so metric integrals cover the full horizon.
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
@@ -35,41 +51,36 @@ from repro.sim.errors import ScheduleInPastError, SimulationError
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
-from repro.sim.tracing import TraceLog
 
-#: Compact the heap when dead entries outnumber live ones *and* the heap is at
-#: least this large (tiny heaps are cheaper to drain than to rebuild).
+#: Compact the queue when dead entries outnumber live ones *and* it holds at
+#: least this many entries (tiny queues are cheaper to drain than to rebuild).
 _COMPACT_MIN_SIZE = 64
 
 
 class Handle:
     """A cancelable reference to a scheduled callback."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_engine")
+    __slots__ = ("time", "callback", "args", "cancelled", "_engine")
 
-    def __init__(self, time: float, seq: int, callback: _t.Callable, args: tuple):
+    def __init__(self, time: float, callback: _t.Callable, args: tuple, engine: "Engine"):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._engine: "Engine | None" = None
+        #: The engine until the handle is popped; a cancel before then counts
+        #: the dead entry there.  (A dead handle's is never read again.)
+        self._engine: "Engine | None" = engine
 
     def cancel(self) -> None:
-        """Prevent the callback from running (lazy deletion from the heap)."""
+        """Prevent the callback from running (lazy deletion from the queue)."""
         if self.cancelled:
             return
         self.cancelled = True
         engine = self._engine
         if engine is not None:
-            # Still in the heap: account the dead entry so pending_events
-            # stays exact and compaction can trigger.
+            # Still queued: account the dead entry so pending_events stays
+            # exact and compaction can trigger.
             engine._dead += 1
-
-    def __lt__(self, other: "Handle") -> bool:
-        # FIFO tie-break via the monotonically increasing sequence number so
-        # same-time events run in schedule order (determinism).
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Engine:
@@ -82,9 +93,9 @@ class Engine:
         derives an independent stream from it so simulations are bit-exactly
         reproducible.
     trace:
-        When true, enable the engine-timer trace channel: every
-        ``schedule``/``schedule_at`` is recorded in :attr:`trace` (costly;
-        off by default).
+        When true, enable the hub and its engine-timer channel: every
+        ``schedule``/``schedule_at`` emits an ``engine``/``schedule`` hub
+        event (costly; off by default).
     clock:
         The engine's time source (see :mod:`repro.sim.clock`).  Defaults to
         :class:`~repro.sim.clock.SimClock` — pure virtual event-time, the
@@ -101,20 +112,21 @@ class Engine:
         pod lifecycle) emit structured telemetry to.  Disabled by default;
         scenario runs flip ``hub.enabled`` when measurement telemetry is on.
     trace:
-        The hub's engine-timer channel (:class:`~repro.sim.tracing.TraceLog`),
-        gated separately so scenario telemetry does not drown in timer events.
+        Whether the engine-timer channel is on, gated separately from
+        ``hub.enabled`` so scenario telemetry does not drown in timer events.
     """
 
     def __init__(self, seed: int = 0, trace: bool = False, clock: Clock | None = None):
         self._now: float = 0.0
-        self._heap: list[Handle] = []
+        self._heap: list[tuple[float, int, Handle]] = []
+        self._ready: collections.deque[Handle] = collections.deque()
         self._seq = itertools.count()
         self._stopped = False
-        #: Cancelled-but-not-yet-popped entries currently in the heap.
+        #: Cancelled-but-not-yet-popped entries in the heap and ready lane.
         self._dead = 0
         self.rng = RngStreams(seed)
         self.hub = TelemetryHub(enabled=trace)
-        self.trace = TraceLog(enabled=trace, hub=self.hub)
+        self.trace = trace
         self._processes_started = 0
         #: Optional hook called as ``on_schedule(time)`` after every push —
         #: a wall-clock driver uses it to wake early when a callback
@@ -146,23 +158,30 @@ class Engine:
 
     def schedule_at(self, time: float, callback: _t.Callable, *args) -> Handle:
         """Run ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
-            raise ScheduleInPastError(
-                f"cannot schedule at t={time:.9f} < now={self._now:.9f}"
-            )
-        if math.isnan(time):
-            raise SimulationError("cannot schedule at NaN time")
+        now = self._now
+        if not time >= now:  # also catches NaN
+            if math.isnan(time):
+                raise SimulationError("cannot schedule at NaN time")
+            raise ScheduleInPastError(f"cannot schedule at t={time:.9f} < now={now:.9f}")
         heap = self._heap
-        if self._dead * 2 > len(heap) and len(heap) >= _COMPACT_MIN_SIZE:
+        ready = self._ready
+        dead = self._dead
+        # The first test is implied by the second; it skips the lengths in the
+        # common case of few dead entries.
+        if dead > _COMPACT_MIN_SIZE // 2 and dead * 2 > len(heap) + len(ready) >= _COMPACT_MIN_SIZE:
             self._compact()
-        handle = Handle(time, next(self._seq), callback, args)
-        handle._engine = self
-        heapq.heappush(heap, handle)
+        handle = Handle(time, callback, args, self)
+        if time == now:
+            # FIFO lane, no sequence number needed: it pops after every heap
+            # entry due now and before anything later (module docstring).
+            ready.append(handle)
+        else:
+            heapq.heappush(heap, (time, next(self._seq), handle))
         if self.on_schedule is not None:
             self.on_schedule(time)
-        if self.trace.enabled:
-            self.trace.emit(
-                self._now,
+        if self.trace:
+            self.hub.emit(
+                now,
                 "engine",
                 "schedule",
                 at=time,
@@ -174,24 +193,18 @@ class Engine:
         """Drop dead entries and re-heapify — O(n), amortised O(1) per cancel.
 
         Determinism is unaffected: pop order is fully determined by the
-        ``(time, seq)`` ordering of the surviving handles, not by their heap
-        layout.
+        ``(time, seq)`` keys of the surviving entries, not by the heap
+        layout.  Both structures are rebuilt in place so local bindings (run()'s
+        hot loop, a mid-compaction schedule_at) keep seeing the live queue.
         """
-        live = [h for h in self._heap if not h.cancelled]
-        for handle in self._heap:
-            if handle.cancelled:
-                handle._engine = None
-        heapq.heapify(live)
-        # In-place so local bindings of the heap (run()'s hot loop, a
-        # mid-compaction schedule_at) keep seeing the live structure.
-        self._heap[:] = live
+        heap = self._heap
+        ready = self._ready
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
+        live = [handle for handle in ready if not handle.cancelled]
+        ready.clear()
+        ready.extend(live)
         self._dead = 0
-
-    def _detach(self, handle: Handle) -> None:
-        """Bookkeeping for a handle just popped off the heap."""
-        handle._engine = None
-        if handle.cancelled:
-            self._dead -= 1
 
     # -- event / process factories ------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -210,33 +223,49 @@ class Engine:
         return Process(self, generator, name or f"proc-{self._processes_started}")
 
     # -- running -------------------------------------------------------------
+    def _front(self) -> Handle | None:
+        """The next live handle, left queued; dead entries ahead of it are
+        dropped.  None when nothing live is queued."""
+        heap = self._heap
+        ready = self._ready
+        while True:
+            if heap and (heap[0][0] == self._now or not ready):
+                handle = heap[0][2]
+                if not handle.cancelled:
+                    return handle
+                heapq.heappop(heap)
+            elif ready:
+                handle = ready[0]
+                if not handle.cancelled:
+                    return handle
+                ready.popleft()
+            else:
+                return None
+            self._dead -= 1
+
     def peek(self) -> float:
         """Time of the next live event, or ``math.inf`` if the queue is empty.
 
-        Dead (cancelled) entries encountered at the top of the heap are
+        Dead (cancelled) entries encountered at the front of the queue are
         drained as a side effect, so repeated peeks are O(1) amortised.
         """
-        heap = self._heap
-        while heap:
-            handle = heap[0]
-            if not handle.cancelled:
-                return handle.time
-            heapq.heappop(heap)
-            self._detach(handle)
-        return math.inf
+        handle = self._front()
+        return math.inf if handle is None else handle.time
 
     def step(self) -> bool:
         """Execute the next scheduled callback. Returns False if none left."""
+        handle = self._front()
+        if handle is None:
+            return False
         heap = self._heap
-        while heap:
-            handle = heapq.heappop(heap)
-            self._detach(handle)
-            if handle.cancelled:
-                continue
-            self._now = handle.time
-            handle.callback(*handle.args)
-            return True
-        return False
+        if heap and heap[0][2] is handle:
+            heapq.heappop(heap)
+        else:
+            self._ready.popleft()
+        handle._engine = None
+        self._now = handle.time
+        handle.callback(*handle.args)
+        return True
 
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains or the clock would pass ``until``.
@@ -245,29 +274,39 @@ class Engine:
         even if no event fires there, mirroring SimPy semantics so metric
         integrals cover the full horizon.
         """
+        if until is None:
+            limit = math.inf
+        elif math.isnan(until):
+            raise SimulationError("cannot run until NaN time")
+        elif until < self._now:
+            raise ScheduleInPastError(f"run(until={until}) is in the past (now={self._now})")
+        else:
+            limit = until
         self._stopped = False
         heap = self._heap
-        heappop = heapq.heappop  # local binding: the loop below is the hot path
-        if until is None:
-            step = self.step
-            while not self._stopped and step():
-                pass
-            return self._now
-        if until < self._now:
-            raise ScheduleInPastError(f"run(until={until}) is in the past (now={self._now})")
-        while not self._stopped and heap:
-            handle = heap[0]
-            if handle.cancelled:
+        ready = self._ready
+        # Local bindings: the loop below is the engine's hot path.
+        heappop = heapq.heappop
+        popleft = ready.popleft
+        while not self._stopped:
+            if heap and heap[0][0] == self._now:
+                handle = heappop(heap)[2]
+            elif ready:
+                handle = popleft()
+            elif heap:
+                handle = heap[0][2]
+                if handle.time > limit and not handle.cancelled:
+                    break
                 heappop(heap)
-                self._detach(handle)
-                continue
-            if handle.time > until:
+            else:
                 break
-            heappop(heap)
-            self._detach(handle)
+            if handle.cancelled:
+                self._dead -= 1
+                continue
+            handle._engine = None
             self._now = handle.time
             handle.callback(*handle.args)
-        if not self._stopped:
+        if until is not None and not self._stopped:
             self._now = max(self._now, until)
         return self._now
 
@@ -278,9 +317,10 @@ class Engine:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled callbacks in the queue (exact, O(1))."""
-        return len(self._heap) - self._dead
+        return len(self._heap) + len(self._ready) - self._dead
 
     @property
     def heap_size(self) -> int:
-        """Raw heap length including dead entries (introspection for tests)."""
-        return len(self._heap)
+        """Raw queue length — heap plus ready lane, dead entries included
+        (introspection for tests)."""
+        return len(self._heap) + len(self._ready)

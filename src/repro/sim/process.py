@@ -61,26 +61,29 @@ class Process(Event):
     def _deliver_interrupt(self, stale_target: Event | None) -> None:
         if self.triggered or not self._interrupts:
             return
-        interrupt = self._interrupts.pop(0)
-        self._step(lambda: self._generator.throw(interrupt))
+        self._step(None, self._interrupts.pop(0))
 
     def _resume(self, event: Event | None) -> None:
         if self.triggered:
             return
-        if event is not None:
-            if event is not self._waiting_on:
-                return  # stale wakeup raced with an interrupt
-            self._waiting_on = None
-        if event is not None and event.failed:
-            exc = _t.cast(BaseException, event.value)
-            self._step(lambda: self._generator.throw(exc))
+        if event is None:
+            self._step(None, None)
+            return
+        if event is not self._waiting_on:
+            return  # stale wakeup raced with an interrupt
+        self._waiting_on = None
+        if event.failed:
+            self._step(None, _t.cast(BaseException, event.value))
         else:
-            value = event.value if event is not None else None
-            self._step(lambda: self._generator.send(value))
+            self._step(event.value, None)
 
-    def _step(self, advance: _t.Callable[[], object]) -> None:
+    def _step(self, value: object, exc: BaseException | None) -> None:
+        """Advance the generator: ``throw(exc)`` if given, else ``send(value)``."""
         try:
-            target = advance()
+            if exc is None:
+                target = self._generator.send(value)
+            else:
+                target = self._generator.throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -89,8 +92,8 @@ class Process(Event):
             # with it (SimPy semantics); the spawner sees a failed event.
             self.fail(interrupt)
             return
-        except BaseException as exc:  # noqa: BLE001 - propagate via event
-            self.fail(exc)
+        except BaseException as error:  # noqa: BLE001 - propagate via event
+            self.fail(error)
             return
         if not isinstance(target, Event):
             self.fail(

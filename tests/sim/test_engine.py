@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.sim import Engine, ScheduleInPastError
+import repro.sim.engine as engine_module
+from repro.sim import Engine, Interrupt, Process, ScheduleInPastError, SimulationError
+from repro.sim.engine import Handle
 
 
 def test_clock_starts_at_zero():
@@ -206,3 +210,117 @@ def test_schedule_from_callback_survives_compaction():
     engine.run(until=10.0)
     assert fired == [0, 1, 2, 3]
     assert engine.pending_events == 0
+
+
+def test_run_until_nan_raises_and_fires_nothing():
+    engine = Engine()
+    fired = []
+    for t in (1.0, 5.0, 100.0):
+        engine.schedule(t, fired.append, t)
+    with pytest.raises(SimulationError, match="NaN"):
+        engine.run(until=math.nan)
+    assert fired == []
+    assert engine.now == 0.0
+    assert engine.pending_events == 3
+
+
+def test_schedule_at_nan_raises():
+    with pytest.raises(SimulationError, match="NaN"):
+        Engine().schedule_at(math.nan, lambda: None)
+
+
+def test_same_time_lane_runs_after_earlier_scheduled_same_time_events():
+    """Handles scheduled *at* the current time queue behind every handle that
+    was scheduled earlier for that same time."""
+    engine = Engine()
+    order = []
+
+    def first():
+        order.append("first")
+        engine.schedule(0.0, order.append, "zero-delay")
+
+    engine.schedule(1.0, first)
+    engine.schedule(1.0, order.append, "second")
+    engine.run()
+    assert order == ["first", "second", "zero-delay"]
+
+
+def test_every_fired_callback_went_through_the_public_hooks(monkeypatch):
+    """``Engine.schedule_at`` is the only place a handle is made and
+    ``Handle.cancel`` the only cancel path, so wrapping both from outside
+    (as the per-layer benchmark does) sees every callback and every cancel."""
+    created: list[Handle] = []
+    scheduled: list[Handle] = []
+    fired: list[Handle] = []
+    cancels = 0
+    process_callbacks = []
+    schedule_at = Engine.schedule_at
+    cancel = Handle.cancel
+
+    class CountingHandle(Handle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            created.append(self)
+
+    def schedule_at_wrapped(engine, when, callback, *args):
+        if getattr(callback, "__func__", None) in (Process._resume, Process._deliver_interrupt):
+            process_callbacks.append(callback)
+        box: list[Handle] = []
+
+        def fire(*fire_args):
+            fired.append(box[0])
+            return callback(*fire_args)
+
+        handle = schedule_at(engine, when, fire, *args)
+        box.append(handle)
+        scheduled.append(handle)
+        return handle
+
+    def cancel_counted(handle):
+        nonlocal cancels
+        if not handle.cancelled:
+            cancels += 1
+        return cancel(handle)
+
+    monkeypatch.setattr(engine_module, "Handle", CountingHandle)
+    monkeypatch.setattr(Engine, "schedule_at", schedule_at_wrapped)
+    monkeypatch.setattr(Handle, "cancel", cancel_counted)
+
+    engine = Engine()
+    log = []
+
+    def sleeper():
+        try:
+            yield engine.timeout(10.0)
+        except Interrupt as interrupt:
+            log.append(("interrupted", engine.now, interrupt.cause))
+        yield engine.timeout(0.0)
+        return "woke"
+
+    def worker(n):
+        for _ in range(n):
+            yield engine.timeout(1.0)
+        log.append(("worker", engine.now))
+
+    proc = engine.process(sleeper())
+    engine.process(worker(3))
+    engine.schedule(2.0, proc.interrupt, "evict")
+    doomed = engine.schedule(5.0, log.append, "never")
+    fired_then_cancelled = engine.schedule(0.5, log.append, "half")
+    engine.run(until=1.0)
+    doomed.cancel()
+    doomed.cancel()
+    fired_then_cancelled.cancel()
+    engine.run()
+
+    assert log == ["half", ("interrupted", 2.0, "evict"), ("worker", 3.0)]
+    assert proc.value == "woke"
+    assert engine.pending_events == 0
+    assert created == scheduled  # every handle came out of the wrapper
+    # Every scheduled handle but the one cancelled in time fired, exactly once.
+    assert sorted(map(id, fired)) == sorted(id(h) for h in scheduled if h is not doomed)
+    assert cancels == len([h for h in created if h.cancelled]) == 2
+    # Process resumes stay bound methods of their Process, so a wrapper can
+    # attribute them to the process's owner.
+    assert process_callbacks
+    assert all(isinstance(cb.__self__, Process) for cb in process_callbacks)
