@@ -40,14 +40,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.scheduler.scheduler import FaSTScheduler
     from repro.sim.engine import Engine
 
-#: The built-in autoscaling policies (kept for docs/back-compat; the live
-#: set is :func:`repro.autoscaler.registry.available_policies`, which also
-#: covers everything registered via ``register_forecaster``).  ``reactive``
-#: is the no-forecast degenerate (paper Algorithm 1 alone); ``oracle``
-#: requires explicit per-function forecasters built from the replayed trace.
-AUTOSCALE_POLICIES = (
-    "reactive", "ewma", "seasonal", "histogram", "hybrid", "warmidle", "memtier", "oracle",
-)
+#: Seconds a function's pre-warming pauses after no configuration fit.
+NOFIT_BACKOFF_S = 5.0
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -70,14 +64,12 @@ class PredictiveAutoscaler:
         controllers: _t.Mapping[str, "FaSTPodController"],
         policy: PreWarmPolicy | None = None,
         forecasters: _t.Mapping[str, Forecaster] | None = None,
-        nofit_backoff_s: float = 5.0,
     ):
         self.engine = engine
         self.gateway = gateway
         self.controllers = dict(controllers)
         self.policy = policy
         self.forecasters = dict(forecasters or {})
-        self.nofit_backoff_s = nofit_backoff_s
         self._nofit_until: dict[str, float] = {}
         self.scheduler: "FaSTScheduler | None" = None
         #: memory tier: the replica-lifecycle API (None when disabled).
@@ -271,7 +263,7 @@ class PredictiveAutoscaler:
             self.prewarms += 1
             self.note_event("prewarm", action.function, action.reason, sm=sm, quota=quota)
             return
-        self._nofit_until[action.function] = now + self.nofit_backoff_s
+        self._nofit_until[action.function] = now + NOFIT_BACKOFF_S
         self.note_event("prewarm-nofit", action.function, action.reason)
 
     def _prewarm_configs(self, action: PreWarmAction) -> list[tuple[float, float]]:
@@ -364,7 +356,6 @@ def build_autoscaler(
 
 
 __all__ = [
-    "AUTOSCALE_POLICIES",
     "AutoscaleEvent",
     "PredictiveAutoscaler",
     "build_autoscaler",

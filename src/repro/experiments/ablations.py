@@ -57,36 +57,22 @@ def run_placement_ablation(
     stream = random_pod_stream(pods, rng)
     node_names = [f"node{i}" for i in range(nodes)]
     results = []
-
-    mra = MaximalRectanglesScheduler(node_names)
-    placed = 0
-    for i, (w, h) in enumerate(stream):
-        try:
-            mra.bind(f"p{i}", w, h)
-            placed += 1
-        except NoFitError:
-            break
-    results.append(PlacementAblation("MRA (best-area, maximal rects)", placed, mra.gpus_in_use()))
-
-    firstfit = FirstFitRectScheduler(node_names)
-    placed = 0
-    for i, (w, h) in enumerate(stream):
-        try:
-            firstfit.bind(f"p{i}", w, h)
-            placed += 1
-        except NoFitError:
-            break
-    results.append(PlacementAblation("first-fit rectangles", placed, firstfit.gpus_in_use()))
-
-    packer = QuotaPackingScheduler(node_names)
-    placed = 0
-    for i, (w, _h) in enumerate(stream):
-        try:
-            packer.bind(f"p{i}", w / 100.0)
-            placed += 1
-        except NoFitError:
-            break
-    results.append(PlacementAblation("1D quota packing (time sharing)", placed, packer.gpus_in_use()))
+    # (label, placement class, pod (w, h) -> its bind() size arguments)
+    strategies = (
+        ("MRA (best-area, maximal rects)", MaximalRectanglesScheduler, lambda w, h: (w, h)),
+        ("first-fit rectangles", FirstFitRectScheduler, lambda w, h: (w, h)),
+        ("1D quota packing (time sharing)", QuotaPackingScheduler, lambda w, _h: (w / 100.0,)),
+    )
+    for label, scheduler_cls, size in strategies:
+        scheduler = scheduler_cls(node_names)
+        placed = 0
+        for i, (w, h) in enumerate(stream):
+            try:
+                scheduler.bind(f"p{i}", *size(w, h))
+                placed += 1
+            except NoFitError:
+                break
+        results.append(PlacementAblation(label, placed, scheduler.gpus_in_use()))
     return results
 
 

@@ -114,20 +114,31 @@ class GPUNode:
     def pod_count(self) -> int:
         return len(self.containers)
 
-    def pod_memory_requirement_mb(self, pod: Pod) -> float:
-        """Device memory the pod will pin on this node, including the
-        storage-server share if it is the first instance of its model here."""
-        mem = pod.spec.gpu_mem_mb
-        if pod.spec.use_model_sharing:
+    def memory_requirement_mb(self, gpu_mem_mb: float, shared_model: str | None = None) -> float:
+        """Device memory a pod pinning ``gpu_mem_mb`` needs on this node.
+
+        ``shared_model`` names a model-sharing pod's model: the first
+        instance of it here also pins the storage server's share.
+        """
+        if shared_model is not None and shared_model not in self.model_storage.stored_models():
             from repro.models import get_model  # local: avoid import cycle
 
-            model = get_model(pod.spec.model_name)
-            if model.name not in self.model_storage.stored_models():
-                mem += model.memory.server_mb
-        return mem
+            gpu_mem_mb += get_model(shared_model).memory.server_mb
+        return gpu_mem_mb
+
+    def pod_memory_requirement_mb(self, pod: Pod) -> float:
+        spec = pod.spec
+        return self.memory_requirement_mb(
+            spec.gpu_mem_mb, spec.model_name if spec.use_model_sharing else None
+        )
 
     def fits_memory(self, pod: Pod) -> bool:
         return self.device.memory.can_allocate(self.pod_memory_requirement_mb(pod))
+
+    def _require_memory(self, pod: Pod) -> None:
+        need = self.pod_memory_requirement_mb(pod)
+        if not self.device.memory.can_allocate(need):
+            raise GpuOutOfMemoryError(need, self.device.memory.free_mb, self.device.name)
 
     # -- pod lifecycle -------------------------------------------------------------
     def admit(self, pod: Pod) -> Container:
@@ -139,12 +150,7 @@ class GPUNode:
                 f"{self.name}: device plugin grants exclusive GPU access; "
                 f"already hosting {next(iter(self.containers))}"
             )
-        if not self.fits_memory(pod):
-            raise GpuOutOfMemoryError(
-                self.pod_memory_requirement_mb(pod),
-                self.device.memory.free_mb,
-                self.device.name,
-            )
+        self._require_memory(pod)
         pod.node_name = self.name
         pod.transition(PodPhase.STARTING)
         container = self._build_container(pod)
@@ -212,12 +218,7 @@ class GPUNode:
             raise NodeError(f"pod {pod.pod_id} already on {self.name}")
         if pod.phase is not PodPhase.HOST_RESIDENT:
             raise NodeError(f"pod {pod.pod_id} is not parked (phase {pod.phase})")
-        if not self.fits_memory(pod):
-            raise GpuOutOfMemoryError(
-                self.pod_memory_requirement_mb(pod),
-                self.device.memory.free_mb,
-                self.device.name,
-            )
+        self._require_memory(pod)
         pod.transition(PodPhase.STARTING, cost=cost_s)
         if self.host_memory is not None:
             self.host_memory.release_owner(pod.pod_id)

@@ -22,7 +22,6 @@ weigh against forecast gaps and SLO headroom.
 
 from __future__ import annotations
 
-import collections
 import typing as _t
 
 from repro.k8s.objects import Pod, PodPhase
@@ -39,9 +38,9 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 class ReplicaLifecycle:
     """Promote/demote/evict transitions between GPU and host residency.
 
-    ``placement`` is the MRA scheduler whose rectangles track GPU space;
-    ``None`` (unit tests, manual platforms) skips rectangle accounting and
-    leaves GPU-memory feasibility as the only promotion constraint.
+    ``placement`` is the platform's MRA ledger, whose rectangles track GPU
+    space: demotion releases a pod's rectangle there and promotion re-places
+    it, alongside the GPU-memory feasibility check.
     """
 
     def __init__(
@@ -49,7 +48,7 @@ class ReplicaLifecycle:
         engine: "Engine",
         cluster: "Cluster",
         controllers: _t.Mapping[str, "FaSTPodController"],
-        placement: "MaximalRectanglesScheduler | None" = None,
+        placement: "MaximalRectanglesScheduler",
     ):
         self.engine = engine
         self.cluster = cluster
@@ -58,9 +57,6 @@ class ReplicaLifecycle:
         self.demotions = 0
         self.promotions = 0
         self.evictions = 0
-        self.demotions_by_function: dict[str, int] = collections.defaultdict(int)
-        self.promotions_by_function: dict[str, int] = collections.defaultdict(int)
-        self.evictions_by_function: dict[str, int] = collections.defaultdict(int)
 
     # -- introspection / cost hooks ------------------------------------------------
     def weights_mb(self, function: str) -> float:
@@ -115,13 +111,11 @@ class ReplicaLifecycle:
         if not node.can_park(weights):
             return None
         process = controller.park(pod_id, weights)
-        if self.placement is not None:
-            try:
-                self.placement.unbind(pod_id)
-            except KeyError:
-                pass
+        try:
+            self.placement.unbind(pod_id)
+        except KeyError:
+            pass
         self.demotions += 1
-        self.demotions_by_function[function] += 1
         hub = self.engine.hub
         if hub.enabled:
             hub.emit(
@@ -171,21 +165,20 @@ class ReplicaLifecycle:
         node = self.cluster.node(pod.node_name)
         if not node.fits_memory(pod):
             return None
-        if self.placement is not None:
-            # Route through select_node pinned to the pod's own node: it
-            # defragments the free list on a miss, where a raw bind_at would
-            # "no-fit" space the keep-reclamation policy left unmerged.
-            width = pod.spec.quota_limit * 100.0
-            choice = self.placement.select_node(
-                width,
-                pod.spec.sm_partition,
-                allowed=lambda name: name == pod.node_name,
-            )
-            if choice is None:
-                return None
-            self.placement.bind_at(
-                pod_id, pod.node_name, width, pod.spec.sm_partition, target=choice[1]
-            )
+        # Route through select_node pinned to the pod's own node: it
+        # defragments the free list on a miss, where a raw bind_at would
+        # "no-fit" space the keep-reclamation policy left unmerged.
+        width = pod.spec.quota_limit * 100.0
+        choice = self.placement.select_node(
+            width,
+            pod.spec.sm_partition,
+            allowed=lambda name: name == pod.node_name,
+        )
+        if choice is None:
+            return None
+        self.placement.bind_at(
+            pod_id, pod.node_name, width, pod.spec.sm_partition, target=choice[1]
+        )
         weights = controller.function.swap_weights_mb()
         estimate_s = node.fabric.estimate_s(weights)
         try:
@@ -196,15 +189,10 @@ class ReplicaLifecycle:
                 cost_s=estimate_s,
             )
         except Exception:
-            if self.placement is not None:
-                try:
-                    self.placement.unbind(pod_id)
-                except KeyError:
-                    pass
+            self.placement.unbind(pod_id)
             raise
         replica.swap_demand = demand
         self.promotions += 1
-        self.promotions_by_function[function] += 1
         hub = self.engine.hub
         if hub.enabled:
             hub.emit(
@@ -235,7 +223,6 @@ class ReplicaLifecycle:
         node_name = pod.node_name
         controller.evict_parked(pod_id)
         self.evictions += 1
-        self.evictions_by_function[function] += 1
         hub = self.engine.hub
         if hub.enabled:
             hub.emit(

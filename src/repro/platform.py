@@ -2,8 +2,8 @@
 
 One object wiring the whole stack — engine, cluster (nodes with GPU + MPS +
 FaST Backend + model storage), function registry, gateway, FaSTPod
-controllers, and optionally the FaST-Scheduler — behind a small experiment
-API::
+controllers, the MRA placement ledger, and optionally the FaST-Scheduler —
+behind a small experiment API::
 
     platform = FaSTGShare.build(nodes=4, gpu="V100", sharing="fast", seed=42)
     platform.register_function("classify", model="resnet50", slo_ms=69)
@@ -26,6 +26,12 @@ policy, and measurement windows, evaluated through a single code path::
 ``racing``      unmanaged MPS-less contention (pods race for the device)
 ``exclusive``   NVIDIA device plugin: one pod per GPU
 ==============  ==================================================================
+
+``platform.placement`` is the one Maximal Rectangles ledger of the cluster's
+GPUs.  Unpinned ``fast`` deployments and the FaST-Scheduler place through
+the same routine (:func:`repro.scheduler.scheduler.place_replica`) into it,
+and the memory tier and live migration bind and release there too, so a pod
+deployed by hand is never invisible to the autoscaler (or vice versa).
 """
 
 from __future__ import annotations
@@ -46,9 +52,9 @@ from repro.k8s.cluster import Cluster
 from repro.k8s.deviceplugin import DevicePlugin
 from repro.k8s.fastpod import FaSTPodController
 from repro.profiler.database import ProfileDatabase
-from repro.scheduler.mra import MaximalRectanglesScheduler, NoFitError
+from repro.scheduler.mra import MaximalRectanglesScheduler
 from repro.scheduler.placement_baselines import QuotaPackingScheduler
-from repro.scheduler.scheduler import FaSTScheduler
+from repro.scheduler.scheduler import FaSTScheduler, place_replica
 from repro.sim.engine import Engine
 
 
@@ -154,9 +160,9 @@ class FaSTGShare:
         #: ``defrag`` config is given (both None otherwise).
         self.migrator = None
         self.defragmenter = None
-        # Placement state for the manual deploy() paths.
         node_names = [n.name for n in self.cluster.nodes]
-        self._mra = MaximalRectanglesScheduler(
+        #: The cluster's one MRA placement ledger (see module docstring).
+        self.placement = MaximalRectanglesScheduler(
             node_names, node_factors=self.cluster.speed_factors()
         )
         self._quota_packer = QuotaPackingScheduler(node_names)
@@ -233,22 +239,12 @@ class FaSTGShare:
             replica = controller.scale_up(target, sm, q_req, q_lim)
             if sharing == "fast":
                 # Pinned deployments may deliberately over-subscribe.
-                self._mra.bind_at(
+                self.placement.bind_at(
                     replica.pod.pod_id, target.name, q_lim * 100.0, sm, require_fit=False
                 )
             return replica
         if sharing == "fast":
-            probe = self._memory_probe(controller.function)
-            choice = self._mra.select_node(q_lim * 100.0, sm, allowed=probe)
-            if choice is None:
-                raise NoFitError(
-                    f"{controller.function.name}: no GPU fits (q={q_lim}, s={sm})"
-                )
-            node_name, rect = choice
-            target = self.cluster.node(node_name)
-            replica = controller.scale_up(target, sm, q_req, q_lim)
-            self._mra.bind_at(replica.pod.pod_id, node_name, q_lim * 100.0, sm, target=rect)
-            return replica
+            return place_replica(self.placement, self.cluster, controller, sm, q_req, q_lim)
         if sharing == "timeshare":
             # KubeShare-style: pack by time quota only (every pod sees all SMs).
             reservation = f"pending-{controller.function.name}-{id(controller)}-{controller.replica_count}"
@@ -266,27 +262,12 @@ class FaSTGShare:
         # racing: pile pods onto the first node unless pinned.
         return controller.scale_up(self.cluster.node(0), sm, q_req, q_lim)
 
-    def _memory_probe(self, function: FunctionSpec):
-        mem = function.pod_gpu_mem_mb()
-
-        def allowed(node_name: str) -> bool:
-            node = self.cluster.node(node_name)
-            extra = 0.0
-            if function.use_model_sharing:
-                if function.model.name not in node.model_storage.stored_models():
-                    extra = function.model.memory.server_mb
-            return node.device.memory.can_allocate(mem + extra)
-
-        return allowed
-
     def scale_down(self, function: str, pod_id: str, drain: bool = True) -> None:
-        controller = self.controllers[function]
-        controller.scale_down(pod_id, drain=drain)
-        for placement in (self._mra,):
-            try:
-                placement.unbind(pod_id)
-            except KeyError:
-                pass
+        self.controllers[function].scale_down(pod_id, drain=drain)
+        try:
+            self.placement.unbind(pod_id)
+        except KeyError:
+            pass
 
     # -- auto-scaling ---------------------------------------------------------------
     def start_autoscaler(
@@ -308,8 +289,11 @@ class FaSTGShare:
     ) -> FaSTScheduler:
         """Attach and start the FaST-Scheduler over the given profile DB.
 
+        The scheduler places into :attr:`placement`, whose node-scoring rule
+        becomes ``placement_policy`` (``ValueError`` on an unknown name).
+
         ``policy`` selects the autoscaling mode
-        (:data:`~repro.autoscaler.controller.AUTOSCALE_POLICIES`):
+        (:func:`~repro.autoscaler.registry.available_policies`):
         ``reactive`` is the paper's Algorithm 1 alone (the degenerate
         no-forecast configuration of the predictive controller); the
         predictive kinds (``ewma``/``seasonal``/``histogram``/``hybrid``)
@@ -326,6 +310,7 @@ class FaSTGShare:
         """
         from repro.autoscaler.controller import build_autoscaler
 
+        self.placement.policy = placement_policy
         self.profile_db = database
         predictive = build_autoscaler(
             policy,
@@ -343,13 +328,13 @@ class FaSTGShare:
             self.gateway,
             database,
             self.controllers,
+            self.placement,
             interval=interval,
             headroom=headroom,
             scale_down_cooldown=scale_down_cooldown,
             min_replicas=min_replicas,
             latency_headroom=latency_headroom,
             down_hysteresis=down_hysteresis,
-            placement_policy=placement_policy,
             predictive=predictive,
             min_replicas_by_function=min_replicas_by_function,
         )
@@ -363,7 +348,7 @@ class FaSTGShare:
                 self.engine,
                 self.cluster,
                 self.controllers,
-                placement=self.scheduler.placement,
+                placement=self.placement,
             )
             self.gateway.lifecycle = self.lifecycle
             self.scheduler.lifecycle = self.lifecycle
@@ -376,12 +361,12 @@ class FaSTGShare:
                 self.cluster,
                 self.gateway,
                 self.controllers,
-                placement=self.scheduler.placement,
+                placement=self.placement,
             )
             self.defragmenter = Defragmenter(
                 self.engine,
                 self.migrator,
-                self.scheduler.placement,
+                self.placement,
                 self.cluster,
                 threshold=defrag.threshold,
                 max_moves_per_tick=defrag.max_moves_per_tick,

@@ -139,11 +139,11 @@ def _deploy_static(platform: "FaSTGShare", scenario: Scenario) -> None:
         {fn.name: MODEL_ZOO[fn.model] for fn in scenario.functions}
     )
     slo_map = {fn.name: platform.registry.get(fn.name).slo_ms for fn in scenario.functions}
-    min_factor = min(platform.cluster.speed_factors().values())
-    scaler = HeuristicScaler(
+    scaler = HeuristicScaler.for_cluster(
         database,
-        slo_ms=slo_map,
-        latency_headroom=scenario.autoscaler.latency_headroom * min(1.0, min_factor),
+        slo_map,
+        scenario.autoscaler.latency_headroom,
+        platform.cluster.speed_factors().values(),
     )
     for fn in scenario.functions:
         if fn.initial_count == 0:
@@ -290,13 +290,9 @@ def placement_state(
     platform: "FaSTGShare", scheduler: _t.Any | None, sharing: str
 ) -> tuple[int, dict[str, float]]:
     """(GPUs in use, per-node utilized allocation area) for one sample tick."""
-    if scheduler is not None:
-        return (
-            scheduler.placement.gpus_in_use(),
-            scheduler.placement.utilized_area_by_node(),
-        )
-    if sharing == "fast":
-        return platform._mra.gpus_in_use(), platform._mra.utilized_area_by_node()
+    if scheduler is not None or sharing == "fast":
+        placement = platform.placement
+        return placement.gpus_in_use(), placement.utilized_area_by_node()
     hosts = {
         pod.node_name for pod in platform.cluster.pods.values() if pod.node_name
     }

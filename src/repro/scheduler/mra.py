@@ -202,7 +202,8 @@ class MigrationMove:
 class MaximalRectanglesScheduler:
     """Cluster-level node selection over per-GPU rectangle lists.
 
-    ``policy`` selects the node-scoring rule (:data:`PLACEMENT_POLICIES`);
+    ``policy`` selects the node-scoring rule (:data:`PLACEMENT_POLICIES`,
+    re-checked whenever it is reassigned);
     ``node_factors`` supplies per-node GPU-type speed factors for the
     ``affinity`` policy (missing nodes default to 1.0, the V100 baseline).
     """
@@ -210,29 +211,35 @@ class MaximalRectanglesScheduler:
     def __init__(
         self,
         node_names: _t.Sequence[str],
-        restructure_threshold: int = 24,
         policy: str = "binpack",
         node_factors: _t.Mapping[str, float] | None = None,
     ):
         if not node_names:
             raise ValueError("need at least one node")
-        if policy not in PLACEMENT_POLICIES:
-            raise ValueError(f"unknown placement policy {policy!r}; known: {PLACEMENT_POLICIES}")
         self.policy = policy
         self.node_factors = dict(node_factors or {})
         self.gpus: dict[str, GPURectangleList] = {
-            name: GPURectangleList(restructure_threshold=restructure_threshold)
-            for name in node_names
+            name: GPURectangleList() for name in node_names
         }
         self._bindings: dict[str, str] = {}  # pod -> node
 
     # -- node scoring -----------------------------------------------------------
+    @property
+    def policy(self) -> str:
+        return self._policy
+
+    @policy.setter
+    def policy(self, name: str) -> None:
+        if name not in PLACEMENT_POLICIES:
+            raise ValueError(f"unknown placement policy {name!r}; known: {PLACEMENT_POLICIES}")
+        self._policy = name
+
     def _score(self, name: str, gpu: GPURectangleList, rect: Rect, w: float, h: float):
         """Smaller-is-better sort key for (node, rect) under the policy."""
         binpack_key = (rect.area - w * h, rect.x, name)
-        if self.policy == "binpack":
+        if self._policy == "binpack":
             return binpack_key
-        if self.policy == "spread":
+        if self._policy == "spread":
             allocated = gpu.used_area() / (gpu.width * gpu.height)
             return (allocated, *binpack_key)
         # affinity: fastest GPU type first, bin-pack among equal types.

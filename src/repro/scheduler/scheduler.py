@@ -12,10 +12,10 @@ Every ``interval`` seconds, for each function:
    contribute no capacity;
 3. run the Heuristic Scaling Algorithm;
 4. apply the plan: a scale-up first *promotes* a warm pod if one is parked
-   (no cold start, no new rectangle); otherwise it is placed by the Maximal
-   Rectangles Algorithm (w = quota·100, h = SM partition) subject to node
-   GPU-memory feasibility, then handed to the FaSTPod controller;
-   scale-downs drain their pods and release their rectangles.
+   (no cold start, no new rectangle); otherwise :func:`place_replica` places
+   it by the Maximal Rectangles Algorithm (w = quota·100, h = SM partition)
+   subject to node GPU-memory feasibility and hands it to the FaSTPod
+   controller; scale-downs drain their pods and release their rectangles.
 
 A short scale-down cooldown after any scale-up prevents flapping on noisy
 predictions (the paper leaves this operational detail unspecified).
@@ -38,9 +38,14 @@ from repro.scheduler.mra import MaximalRectanglesScheduler, NoFitError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.autoscaler.controller import PredictiveAutoscaler
+    from repro.faas.function import FunctionSpec
     from repro.k8s.cluster import Cluster
     from repro.faas.gateway import Gateway
     from repro.sim.engine import Engine
+
+#: Pods one function may drain per tick: draining several at once dumps
+#: their queues onto the survivors and spikes the tail latency.
+MAX_DOWN_PER_TICK = 1
 
 
 @dataclasses.dataclass(slots=True)
@@ -55,8 +60,73 @@ class SchedulerEvent:
     node: str | None
 
 
+def _memory_probe(cluster: "Cluster", function: "FunctionSpec") -> _t.Callable[[str], bool]:
+    """Feasibility filter: does the node have GPU memory for one more pod?"""
+    mem = function.pod_gpu_mem_mb()
+    shared_model = function.model.name if function.use_model_sharing else None
+
+    def allowed(node_name: str) -> bool:
+        node = cluster.node(node_name)
+        return node.device.memory.can_allocate(node.memory_requirement_mb(mem, shared_model))
+
+    return allowed
+
+
+def place_replica(
+    placement: MaximalRectanglesScheduler,
+    cluster: "Cluster",
+    controller: FaSTPodController,
+    sm_partition: float,
+    quota_request: float,
+    quota_limit: float,
+    warm: bool = False,
+    used_nodes_only: bool = False,
+):
+    """MRA-place and start one replica; returns it (or raises NoFitError).
+
+    The one placement routine: GPU-memory probe, policy-scored
+    ``select_node`` over ``placement``, FaSTPod scale-up on the chosen
+    node, then ``bind_at`` of the chosen rectangle.  Both
+    :meth:`FaSTScheduler.place_pod` and the platform's unpinned ``fast``
+    deployments run it.
+
+    ``warm=True`` creates a pre-warmed pod: the full rectangle is reserved
+    (spatial cost explicit — promotion can never fail placement) and GPU
+    memory is held, but the replica parks in ``WARM_IDLE`` and draws zero
+    time quota until promoted.
+
+    ``used_nodes_only=True`` confines placement to nodes already hosting
+    pods — pre-warmed spares ride along on provisioned GPUs instead of
+    powering up an idle one (their whole point is hiding latency, not
+    growing the fleet).
+    """
+    width = quota_limit * 100.0
+    probe = _memory_probe(cluster, controller.function)
+    if used_nodes_only:
+        memory_fits = probe
+
+        def probe(node_name: str) -> bool:  # noqa: F811 — deliberate wrap
+            return bool(placement.gpus[node_name].placed) and memory_fits(node_name)
+    choice = placement.select_node(width, sm_partition, allowed=probe)
+    if choice is None:
+        raise NoFitError(
+            f"{controller.function.name}: no GPU fits "
+            f"(q={quota_limit}, s={sm_partition})"
+        )
+    node_name, rect = choice
+    node = cluster.node(node_name)
+    replica = controller.scale_up(node, sm_partition, quota_request, quota_limit, warm=warm)
+    placement.bind_at(replica.pod.pod_id, node_name, width, sm_partition, target=rect)
+    return replica
+
+
 class FaSTScheduler:
-    """Auto-scaling + node-selection control loop."""
+    """Auto-scaling + node-selection control loop.
+
+    ``placement`` is the platform's placement ledger; the scheduler owns no
+    rectangles of its own, so pods deployed by hand, parked by the memory
+    tier or moved by live migration all count against its placements.
+    """
 
     def __init__(
         self,
@@ -65,15 +135,13 @@ class FaSTScheduler:
         gateway: "Gateway",
         database: ProfileDatabase,
         controllers: _t.Mapping[str, FaSTPodController],
+        placement: MaximalRectanglesScheduler,
         interval: float = 2.0,
         headroom: float = 1.10,
         scale_down_cooldown: float = 6.0,
-        restructure_threshold: int = 24,
         min_replicas: int = 1,
         latency_headroom: float = 0.6,
         down_hysteresis: float = 0.10,
-        max_down_per_tick: int = 1,
-        placement_policy: str = "binpack",
         predictive: "PredictiveAutoscaler | None" = None,
         min_replicas_by_function: _t.Mapping[str, int] | None = None,
     ):
@@ -97,23 +165,11 @@ class FaSTScheduler:
         # park below them during keep-alive scale-to-zero (that is its point).
         self.min_replicas_by_function = dict(min_replicas_by_function or {})
         self.down_hysteresis = down_hysteresis
-        self.max_down_per_tick = max_down_per_tick
         slo_map = {name: c.function.slo_ms for name, c in self.controllers.items()}
-        # Profile latencies are V100-calibrated; on a cluster containing
-        # slower GPU types a pod's GPU-resident time grows by 1/factor, so
-        # shrink the SLO-feasibility budget by the slowest node's factor —
-        # a config passing this bound meets its latency budget on any node.
-        min_factor = min(cluster.speed_factors().values())
-        effective_headroom = latency_headroom * min(1.0, min_factor)
-        self.scaler = HeuristicScaler(
-            database, slo_ms=slo_map, latency_headroom=effective_headroom
+        self.scaler = HeuristicScaler.for_cluster(
+            database, slo_map, latency_headroom, cluster.speed_factors().values()
         )
-        self.placement = MaximalRectanglesScheduler(
-            [node.name for node in cluster.nodes],
-            restructure_threshold=restructure_threshold,
-            policy=placement_policy,
-            node_factors=cluster.speed_factors(),
-        )
+        self.placement = placement
         if predictive is None:
             # The reactive configuration is the *degenerate* predictive
             # controller (no forecasters, no policy) — one control path.
@@ -150,7 +206,7 @@ class FaSTScheduler:
         if self._handle is not None:
             self._handle.cancel()
 
-    # -- helpers the platform uses for manual placement too ------------------------
+    # -- placement ------------------------------------------------------------------
     def place_pod(
         self,
         controller: FaSTPodController,
@@ -160,51 +216,11 @@ class FaSTScheduler:
         warm: bool = False,
         used_nodes_only: bool = False,
     ):
-        """MRA-place and start one replica; returns it (or raises NoFitError).
-
-        ``warm=True`` creates a pre-warmed pod: the full rectangle is
-        reserved (spatial cost explicit — promotion can never fail
-        placement) and GPU memory is held, but the replica parks in
-        ``WARM_IDLE`` and draws zero time quota until promoted.
-
-        ``used_nodes_only=True`` confines placement to nodes already
-        hosting pods — pre-warmed spares ride along on provisioned GPUs
-        instead of powering up an idle one (their whole point is hiding
-        latency, not growing the fleet).
-        """
-        width = quota_limit * 100.0
-        probe = self._memory_probe(controller)
-        if used_nodes_only:
-            memory_probe = probe
-
-            def probe(node_name: str) -> bool:  # noqa: F811 — deliberate wrap
-                return bool(self.placement.gpus[node_name].placed) and memory_probe(node_name)
-        choice = self.placement.select_node(width, sm_partition, allowed=probe)
-        if choice is None:
-            raise NoFitError(
-                f"{controller.function.name}: no GPU fits "
-                f"(q={quota_limit}, s={sm_partition})"
-            )
-        node_name, rect = choice
-        node = self.cluster.node(node_name)
-        replica = controller.scale_up(node, sm_partition, quota_request, quota_limit, warm=warm)
-        self.placement.bind_at(replica.pod.pod_id, node_name, width, sm_partition, target=rect)
-        return replica
-
-    def _memory_probe(self, controller: FaSTPodController):
-        """Feasibility filter: does the node have GPU memory for one more pod?"""
-        function = controller.function
-        mem = function.pod_gpu_mem_mb()
-
-        def allowed(node_name: str) -> bool:
-            node = self.cluster.node(node_name)
-            extra = 0.0
-            if function.use_model_sharing:
-                if function.model.name not in node.model_storage.stored_models():
-                    extra = function.model.memory.server_mb
-            return node.device.memory.can_allocate(mem + extra)
-
-        return allowed
+        """:func:`place_replica` on this scheduler's ledger and cluster."""
+        return place_replica(
+            self.placement, self.cluster, controller, sm_partition, quota_request,
+            quota_limit, warm=warm, used_nodes_only=used_nodes_only,
+        )
 
     def _note(self, event: SchedulerEvent, **extra) -> None:
         """Record a scaling decision (and mirror it onto the telemetry hub)."""
@@ -230,7 +246,7 @@ class FaSTScheduler:
         rectangle holds the pod; ``no-capacity``: not enough free area at all.
         """
         width = quota_limit * 100.0
-        probe = self._memory_probe(controller)
+        probe = _memory_probe(self.cluster, controller.function)
         rejects = []
         for node_name, gpu in self.placement.gpus.items():
             if not probe(node_name):
@@ -287,10 +303,9 @@ class FaSTScheduler:
                 delta = 0.0  # hysteresis: ignore marginal surpluses (noise)
             delta_rps[name] = delta
 
-        # Scale down gradually: draining several pods at once dumps their
-        # queues onto the survivors and spikes the tail latency.
+        # Scale down gradually (see MAX_DOWN_PER_TICK).
         downs_allowed = {
-            name: min(self.max_down_per_tick, max(0, len(pods) - floors[name]))
+            name: min(MAX_DOWN_PER_TICK, max(0, len(pods) - floors[name]))
             for name, pods in running.items()
         }
         for action in self.scaler.plan(delta_rps, running):

@@ -271,11 +271,10 @@ class LiveServer:
         # Live fragmentation gauges (and migration counts when the
         # defragmenter is running), computed from the placement state the
         # moment /stats is answered.
-        scheduler = self._plane.scheduler
-        if scheduler is not None:
+        if self._plane.scheduler is not None:
             stats["fragmentation"] = {
-                "cluster": scheduler.placement.cluster_fragmentation(),
-                "nodes": scheduler.placement.fragmentation_by_node(),
+                "cluster": platform.placement.cluster_fragmentation(),
+                "nodes": platform.placement.fragmentation_by_node(),
             }
         migrator = platform.migrator
         if migrator is not None:

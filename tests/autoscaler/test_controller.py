@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import FaSTGShare
-from repro.autoscaler.controller import AUTOSCALE_POLICIES, build_autoscaler
+from repro.autoscaler.controller import build_autoscaler
+from repro.autoscaler.registry import available_policies
 from repro.autoscaler.forecast import OracleForecaster
 from repro.faas.loadgen import OpenLoopGenerator
 from repro.faas.traces import FunctionTrace
@@ -123,7 +124,8 @@ def test_scheduler_builds_degenerate_controller_by_default():
     from repro.scheduler.scheduler import FaSTScheduler
 
     scheduler = FaSTScheduler(
-        platform.engine, platform.cluster, platform.gateway, db, platform.controllers
+        platform.engine, platform.cluster, platform.gateway, db, platform.controllers,
+        placement=platform.placement,
     )
     assert scheduler.predictive is not None
     assert scheduler.predictive.scheduler is scheduler
@@ -155,4 +157,4 @@ def test_oracle_forecasters_accepted():
         db, policy="oracle", forecasters={"fn": OracleForecaster(trace)}
     )
     assert scheduler.predictive.predictive
-    assert set(AUTOSCALE_POLICIES) >= {"reactive", "hybrid", "oracle"}
+    assert set(available_policies()) >= {"reactive", "hybrid", "oracle"}

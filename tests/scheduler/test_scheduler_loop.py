@@ -23,13 +23,20 @@ def test_validation():
     platform, db = build()
     with pytest.raises(ValueError):
         FaSTScheduler(platform.engine, platform.cluster, platform.gateway, db,
-                      platform.controllers, interval=0)
+                      platform.controllers, placement=platform.placement, interval=0)
     with pytest.raises(ValueError):
         FaSTScheduler(platform.engine, platform.cluster, platform.gateway, db,
-                      platform.controllers, headroom=0.9)
+                      platform.controllers, placement=platform.placement, headroom=0.9)
     with pytest.raises(ValueError):
         FaSTScheduler(platform.engine, platform.cluster, platform.gateway, db,
-                      platform.controllers, min_replicas=-1)
+                      platform.controllers, placement=platform.placement, min_replicas=-1)
+
+
+def test_unknown_placement_policy_rejected():
+    platform, db = build()
+    with pytest.raises(ValueError):
+        platform.start_autoscaler(db, placement_policy="best-effort")
+    assert platform.scheduler is None
 
 
 def test_double_start_rejected():
@@ -87,6 +94,25 @@ def test_nofit_recorded_when_cluster_full():
     assert any(e.action == "nofit" for e in scheduler.events)
 
 
+def test_scheduler_shares_the_deploy_ledger():
+    # A GPU filled by a manual deploy() after the autoscaler started is full
+    # for the scheduler too: no pod lands on it, and the no-fit says why.
+    platform, db = build(nodes=1)
+    platform.engine.hub.enabled = True
+    scheduler = platform.start_autoscaler(db, interval=1.0)
+    assert scheduler.placement is platform.placement
+    platform.deploy("fn", configs=[(100, 1.0)])
+    platform.wait_ready()
+    OpenLoopGenerator(platform.engine, platform.gateway, "fn",
+                      ConstantRate(rps=400, duration=6.0))
+    platform.engine.run(until=platform.engine.now + 6.0)
+    assert not [e for e in scheduler.events if e.action == "up" and e.node == "node0"]
+    nofits = platform.engine.hub.filter(source="scheduler", kind="nofit")
+    assert nofits
+    reasons = {reject["reason"] for e in nofits for reject in e.payload["rejects"]}
+    assert reasons == {"no-capacity"}
+
+
 def test_replica_series_recorded():
     platform, db = build()
     scheduler = platform.start_autoscaler(db, interval=1.0)
@@ -100,7 +126,7 @@ def test_replica_series_recorded():
 def test_throughput_of_falls_back_to_analytic():
     platform, db = build()
     scheduler = FaSTScheduler(platform.engine, platform.cluster, platform.gateway,
-                              db, platform.controllers)
+                              db, platform.controllers, placement=platform.placement)
     # Config outside the profiled grid -> analytic model rate.
     value = scheduler._throughput_of("fn", 33.0, 0.77)
     model = get_model("resnet50")
@@ -110,7 +136,7 @@ def test_throughput_of_falls_back_to_analytic():
 def test_place_pod_respects_memory_probe():
     platform, db = build(nodes=2)
     scheduler = FaSTScheduler(platform.engine, platform.cluster, platform.gateway,
-                              db, platform.controllers)
+                              db, platform.controllers, placement=platform.placement)
     controller = platform.controllers["fn"]
     # Exhaust node0's memory with ballast so placement must pick node1.
     platform.cluster.node(0).device.memory.allocate("ballast", 15500)
